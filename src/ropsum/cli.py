@@ -27,7 +27,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import ParseError, PreconditionError
+from .errors import ParameterMismatch, ParseError, PreconditionError, PreconditionViolated
 from .mpoly import MultilinearPoly, commutator, format_poly, sparse_str
 from .oracle import (
     RopClass,
@@ -39,7 +39,7 @@ from .oracle import (
     save_class,
 )
 from .recognize import family4_decide, is_rop, sum2_refute
-from .rof import RopSum, evaluate, parse_rof, print_rof, verify_against
+from .rof import RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
 from .scalars import QQ, FieldDescriptor, parse_scalar, prime_field
 
 _VAR_RE = re.compile(r"^x(\d+)$")
@@ -127,18 +127,17 @@ def _read_arg(text: str) -> str:
 def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
     stripped = text.strip()
     if stripped.startswith("["):
-        entries = json.loads(stripped)
+        try:
+            entries = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ParseError("malformed JSON sum of formulas: %s" % exc) from None
+        if not all(isinstance(e, str) for e in entries):
+            raise ParseError("a JSON sum of formulas must be an array of strings")
     else:
         entries = [line for line in stripped.splitlines() if line.strip()]
     summands = tuple(parse_rof(entry, field) for entry in entries)
-    high = max((max(_rof_vars(r)) for r in summands if _rof_vars(r)), default=0)
+    high = max((max(leaf_vars(r)) for r in summands), default=0)
     return RopSum(field, max(n, high), summands)
-
-
-def _rof_vars(r) -> List[int]:
-    from .rof import leaf_vars
-
-    return leaf_vars(r)
 
 
 def _scalars_csv(text: str, field: FieldDescriptor, count: int) -> List:
@@ -200,22 +199,20 @@ def _cmd_decompose(args, field) -> int:
             raise ParseError("strategy %r needs a polynomial argument" % spec)
         poly = parse_poly_text(_read_arg(args.poly), field)
         result = pair_monomials(poly) if spec == "pairing" else generic(poly)
-        target = poly
     elif spec.startswith("symmetric:"):
         parts = spec[len("symmetric:") :].split(",")
         if len(parts) != 3:
             raise ParseError("symmetric strategy needs n,alpha,beta")
-        n = int(parts[0])
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise ParseError("symmetric strategy needs an integer n") from None
         alpha = parse_scalar(parts[1], field)
         beta = parse_scalar(parts[2], field)
         result = symmetric_halves(n, alpha, beta, field)
-        from .mpoly import m_poly
-
-        target = m_poly(n, alpha, beta, field)
     elif spec.startswith("sympoly4:"):
         coeffs = _scalars_csv(spec[len("sympoly4:") :], field, 5)
         result = sympoly4(*coeffs, field=field)
-        target = None
     else:
         raise ParseError(
             "strategy must be pairing | generic | symmetric:<n,a,b> | sympoly4:<a0..a4>"
@@ -244,19 +241,20 @@ def _cmd_refute2(args, field) -> int:
 
 def _cmd_oracle(args, field) -> int:
     cls: Optional[RopClass] = None
-    if args.cache and os.path.exists(args.cache):
-        cls = load_class(args.cache)
-        if cls.p != args.p or cls.n != args.n:
-            from .errors import ParameterMismatch
-
-            raise ParameterMismatch(
-                "cache holds (p=%d, n=%d), requested (p=%d, n=%d)"
-                % (cls.p, cls.n, args.p, args.n)
-            )
-    if cls is None:
-        cls = enumerate_rops(args.p, args.n)
-        if args.cache:
-            save_class(cls, args.cache)
+    try:
+        if args.cache and os.path.exists(args.cache):
+            cls = load_class(args.cache)
+            if cls.p != args.p or cls.n != args.n:
+                raise ParameterMismatch(
+                    "cache holds (p=%d, n=%d), requested (p=%d, n=%d)"
+                    % (cls.p, cls.n, args.p, args.n)
+                )
+        if cls is None:
+            cls = enumerate_rops(args.p, args.n)
+            if args.cache:
+                save_class(cls, args.cache)
+    except OSError as exc:
+        raise PreconditionViolated("cannot use cache file: %s" % exc) from None
 
     if args.min_k is not None:
         fp = prime_field(args.p)

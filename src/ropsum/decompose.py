@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .errors import CharacteristicTwo, PreconditionViolated, RopsumError
-from .mpoly import MultilinearPoly, elementary_symmetric, m_poly, _infer_field
+from .mpoly import MultilinearPoly, _infer_field, elementary_symmetric, m_poly
 from .rof import (
     ADD,
     MUL,
@@ -107,7 +107,7 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 
     for idx in range(0, len(monomials) - 1, 2):
         s, t = monomials[idx], monomials[idx + 1]
-        a, b = p.coeffs[s], p.coeffs[t]
+        a, b = p.coeff(s), p.coeff(t)
         common = s & t
         s_only, t_only = s & ~t, t & ~s
         if s_only and t_only:
@@ -129,7 +129,7 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 
     if len(monomials) % 2:
         s = monomials[-1]
-        a = p.coeffs[s]
+        a = p.coeff(s)
         if s:
             summands.append(_mono_chain(vars_of(s), a, zero))
         else:
@@ -147,7 +147,7 @@ def _linear_rof(p: MultilinearPoly) -> Optional[Rof]:
     field = p.field
     one, zero = field.one(), field.zero()
     const = p.coeff(0)
-    terms = [(m.bit_length(), c) for m, c in sorted(p.coeffs.items()) if m]
+    terms = [(m.bit_length(), p.coeff(m)) for m in sorted(p.coeffs) if m]
     if not terms:
         return Leaf(1, zero, const)
     tree: Rof = Leaf(terms[0][0], terms[0][1], zero)
@@ -162,7 +162,7 @@ def _sub_poly(p: MultilinearPoly, keep_mask: int, drop_constant: bool = False) -
         for m, c in p.coeffs.items()
         if (m & ~keep_mask) == 0 and not (drop_constant and m == 0)
     }
-    return MultilinearPoly(p.n, p.field, coeffs)
+    return MultilinearPoly._trusted(p.n, p.field, coeffs)
 
 
 _QUAD_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -187,7 +187,7 @@ def _generic_base4(p: MultilinearPoly) -> List[Rof]:
         # No quadratic terms: linear part, a 3-4 heavy part, a 1-2 heavy part.
         summands: List[Rof] = []
         linear = _linear_rof(
-            MultilinearPoly(
+            MultilinearPoly._trusted(
                 p.n, field, {m: c for m, c in p.coeffs.items() if m.bit_count() <= 1}
             )
         )
@@ -313,7 +313,7 @@ def _permute_vars(p: MultilinearPoly, perm: dict) -> MultilinearPoly:
             if m & (1 << i):
                 nm |= 1 << (perm.get(i + 1, i + 1) - 1)
         out[nm] = c
-    return MultilinearPoly(p.n, p.field, out)
+    return MultilinearPoly._trusted(p.n, p.field, out)
 
 
 def generic(p: MultilinearPoly) -> RopSum:

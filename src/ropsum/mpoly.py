@@ -1,17 +1,22 @@
 """Multilinear polynomials and the operator calculus built on them.
 
 A multilinear polynomial on variables x_1..x_n is stored as a map from
-subset bitmask (bit i-1 encodes x_i) to a nonzero field coefficient.
-Restriction, the discrete partial derivative, the pairwise commutator,
-and the named constructors (elementary symmetric polynomials, the
-top-degree combinations used by the hierarchy bound, and the weighted
-4-variable quadratic family) all live here.
+subset bitmask (bit i-1 encodes x_i) to a nonzero raw coefficient of its
+field (``Fraction`` over Q, an int in ``[0, p)`` over F_p; see
+:mod:`ropsum.scalars`).  The public constructor checks and coerces its
+input; results built inside the package come from canonical maps and go
+through ``_trusted``.  Restriction, the discrete partial derivative, the
+pairwise commutator, and the named constructors (elementary symmetric
+polynomials, the top-degree combinations used by the hierarchy bound, and
+the weighted 4-variable quadratic family) all live here.
 
 Two multiplications are exposed on purpose: ``mul_disjoint`` keeps the
 result multilinear and refuses shared variables, while ``mul_general``
 returns a :class:`SparsePoly` because commutators genuinely leave the
 multilinear world (individual degrees up to 2, and up to 4 after one more
-product).
+product).  Non-multilinear monomials are packed into one int with
+``_WIDTH`` bits per variable, and ``_mul_packed`` is the one product on
+that encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     IndexOutOfRange,
     SharedVariables,
 )
-from .scalars import QQ, FieldDescriptor, FieldElem, format_scalar
+from .scalars import QQ, FieldDescriptor, FieldElem
 
 MAX_VARIABLES = 30
 
@@ -38,20 +43,59 @@ def _same_field(a: FieldDescriptor, b: FieldDescriptor):
         raise FieldMismatch("polynomials over %s and %s" % (a, b))
 
 
-class MultilinearPoly:
-    """An exact multilinear polynomial; immutable by convention."""
+class _Poly:
+    """A raw coefficient map on variables x_1..x_n over a field."""
 
     __slots__ = ("n", "field", "coeffs")
 
-    def __init__(self, n: int, field: FieldDescriptor, coeffs: Dict[int, FieldElem]):
+    @classmethod
+    def _trusted(cls, n: int, field: FieldDescriptor, coeffs: dict):
+        """An instance on a canonical raw map (reduced values, no zero
+        entries), unchecked: for results built inside the package."""
+        p = object.__new__(cls)
+        p.n = n
+        p.field = field
+        p.coeffs = coeffs
+        return p
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _check_compat(self, other):
+        _same_field(self.field, other.field)
+        if self.n != other.n:
+            raise IndexOutOfRange(
+                "polynomials on %d and %d variables" % (self.n, other.n)
+            )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.field == other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self):
+        return "%s(%d, %r, %s)" % (type(self).__name__, self.n, self.field, self)
+
+
+class MultilinearPoly(_Poly):
+    """An exact multilinear polynomial; immutable by convention."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, field: FieldDescriptor, coeffs: Dict[int, Scalar]):
         if not (0 <= n <= MAX_VARIABLES):
             raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
-        clean: Dict[int, FieldElem] = {}
+        raw = field.raw
+        clean = {}
         for mask, c in coeffs.items():
             if mask < 0 or mask >= (1 << n):
                 raise IndexOutOfRange("monomial mask %d outside [0, 2^%d)" % (mask, n))
-            c = field.elem(c)
-            if not c.is_zero():
+            c = raw(c)
+            if c:
                 clean[mask] = c
         self.n = n
         self.field = field
@@ -65,27 +109,25 @@ class MultilinearPoly:
 
     @classmethod
     def constant(cls, n: int, field: FieldDescriptor, c: Scalar) -> "MultilinearPoly":
-        return cls(n, field, {0: field.elem(c)})
+        return cls(n, field, {0: c})
 
     @classmethod
     def variable(cls, n: int, field: FieldDescriptor, i: int) -> "MultilinearPoly":
         if not (1 <= i <= n):
             raise IndexOutOfRange("variable x%d outside 1..%d" % (i, n))
-        return cls(n, field, {1 << (i - 1): field.one()})
+        return cls(n, field, {1 << (i - 1): 1})
 
     @classmethod
     def from_terms(
         cls, n: int, field: FieldDescriptor, terms: Dict[int, Scalar]
     ) -> "MultilinearPoly":
-        return cls(n, field, {m: field.elem(c) for m, c in terms.items()})
+        return cls(n, field, terms)
 
     # -- basic queries -----------------------------------------------------
 
     def coeff(self, mask: int) -> FieldElem:
-        return self.coeffs.get(mask, self.field.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        c = self.coeffs.get(mask)
+        return self.field.zero() if c is None else FieldElem(self.field, c)
 
     def is_constant(self) -> bool:
         return all(m == 0 for m in self.coeffs)
@@ -111,44 +153,34 @@ class MultilinearPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_compat(self, other: "MultilinearPoly"):
-        _same_field(self.field, other.field)
-        if self.n != other.n:
-            raise IndexOutOfRange(
-                "polynomials on %d and %d variables" % (self.n, other.n)
-            )
-
     def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         self._check_compat(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             s = out.get(m)
             out[m] = c if s is None else s + c
-        return MultilinearPoly(self.n, self.field, out)
+        return MultilinearPoly._trusted(self.n, self.field, self.field.canon(out))
 
     def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        self._check_compat(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            out[m] = -c if s is None else s - c
-        return MultilinearPoly(self.n, self.field, out)
+        return self + -other
 
     def __neg__(self) -> "MultilinearPoly":
-        return MultilinearPoly(self.n, self.field, {m: -c for m, c in self.coeffs.items()})
+        neg = self.field.neg
+        out = {m: neg(c) for m, c in self.coeffs.items()}
+        return MultilinearPoly._trusted(self.n, self.field, out)
 
     def scale(self, c: Scalar) -> "MultilinearPoly":
-        c = self.field.elem(c)
-        if c.is_zero():
-            return MultilinearPoly.zero(self.n, self.field)
-        return MultilinearPoly(
-            self.n, self.field, {m: v * c for m, v in self.coeffs.items()}
-        )
+        v = self.field.raw(c)
+        out = {m: x * v for m, x in self.coeffs.items()} if v else {}
+        return MultilinearPoly._trusted(self.n, self.field, self.field.canon(out))
 
     def add_constant(self, c: Scalar) -> "MultilinearPoly":
+        field = self.field
         out = dict(self.coeffs)
-        out[0] = self.coeff(0) + self.field.elem(c)
-        return MultilinearPoly(self.n, self.field, out)
+        c0 = field.add(out.pop(0, 0), field.raw(c))
+        if c0:
+            out[0] = c0
+        return MultilinearPoly._trusted(self.n, field, out)
 
     def mul_disjoint(self, other: "MultilinearPoly") -> "MultilinearPoly":
         """Product of variable-disjoint factors; stays multilinear."""
@@ -158,14 +190,8 @@ class MultilinearPoly:
                 "factors share variables %s"
                 % sorted(set(self.variables()) & set(other.variables()))
             )
-        out: Dict[int, FieldElem] = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                m = ma | mb
-                c = ca * cb
-                s = out.get(m)
-                out[m] = c if s is None else s + c
-        return MultilinearPoly(self.n, self.field, out)
+        out = _disjoint_product(self.coeffs, other.coeffs, self.field)
+        return MultilinearPoly._trusted(self.n, self.field, out)
 
     def mul_general(self, other: "MultilinearPoly") -> "SparsePoly":
         """Unrestricted product; the result may have individual degree 2."""
@@ -181,19 +207,17 @@ class MultilinearPoly:
     def restrict(self, i: int, v: Scalar) -> "MultilinearPoly":
         """Substitute the field constant v for x_i."""
         self._check_index(i)
-        v = self.field.elem(v)
+        v = self.field.raw(v)
         bit = 1 << (i - 1)
-        out: Dict[int, FieldElem] = {}
+        out = {}
         for m, c in self.coeffs.items():
             if m & bit:
-                if v.is_zero():
+                if not v:
                     continue
-                m2, c2 = m ^ bit, c * v
-            else:
-                m2, c2 = m, c
-            s = out.get(m2)
-            out[m2] = c2 if s is None else s + c2
-        return MultilinearPoly(self.n, self.field, out)
+                m, c = m ^ bit, c * v
+            s = out.get(m)
+            out[m] = c if s is None else s + c
+        return MultilinearPoly._trusted(self.n, self.field, self.field.canon(out))
 
     def restrict_many(self, assignment: Dict[int, Scalar]) -> "MultilinearPoly":
         p = self
@@ -206,7 +230,7 @@ class MultilinearPoly:
         self._check_index(i)
         bit = 1 << (i - 1)
         out = {m ^ bit: c for m, c in self.coeffs.items() if m & bit}
-        return MultilinearPoly(self.n, self.field, out)
+        return MultilinearPoly._trusted(self.n, self.field, out)
 
     def evaluate(self, point: Dict[int, Scalar]) -> FieldElem:
         """Evaluate at a full assignment of all variables in Var(p)."""
@@ -215,251 +239,216 @@ class MultilinearPoly:
 
     def with_n(self, n: int) -> "MultilinearPoly":
         """Re-declare the variable count (pad or shrink when unused)."""
+        if n == self.n:
+            return self
         if n < self.n and self.var_mask() >= (1 << n):
             raise IndexOutOfRange("polynomial uses variables above x%d" % n)
-        return MultilinearPoly(n, self.field, dict(self.coeffs))
+        return MultilinearPoly(n, self.field, self.coeffs)
 
     # -- comparison / display ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
 
     def __hash__(self):
         return hash((self.n, self.field, frozenset(self.coeffs.items())))
 
-    def __repr__(self):
-        return "MultilinearPoly(%d, %r, %s)" % (self.n, self.field, _poly_str(self))
-
     def __str__(self):
-        return _poly_str(self)
+        return format_poly(self)
 
 
-def _term_str(field: FieldDescriptor, c: FieldElem, factors: List[str]) -> str:
+def _disjoint_product(a: dict, b: dict, field: FieldDescriptor) -> dict:
+    """Product of two raw maps on disjoint variables, as a canonical map;
+    disjointness makes every mask union arise from exactly one pair."""
+    return field.canon({ma | mb: ca * cb for ma, ca in a.items() for mb, cb in b.items()})
+
+
+def _term_str(c, factors: List[str]) -> str:
     if not factors:
-        return format_scalar(c)
-    if c.is_one():
+        return str(c)
+    if c == 1:
         return "*".join(factors)
-    if field.kind == "rationals" and c.value == -1:
+    if c == -1:
         return "-" + "*".join(factors)
-    return "*".join([format_scalar(c)] + factors)
+    return "*".join([str(c)] + factors)
 
 
-def _poly_str(p: "MultilinearPoly") -> str:
-    # Canonical ordering: mask ascending, constant term first.
-    if not p.coeffs:
-        return "0"
-    rational = p.field.kind == "rationals"
+def _terms_str(terms) -> str:
+    """Display form of (raw coefficient, factor names) pairs, in order."""
     parts: List[str] = []
-    for mask in sorted(p.coeffs):
-        c = p.coeffs[mask]
-        factors = ["x%d" % (i + 1) for i in range(p.n) if mask & (1 << i)]
-        if rational and parts and c.value < 0:
-            parts.append("- " + _term_str(p.field, -c, factors))
+    for c, factors in terms:
+        if parts and c < 0:
+            parts.append("- " + _term_str(-c, factors))
         elif parts:
-            parts.append("+ " + _term_str(p.field, c, factors))
+            parts.append("+ " + _term_str(c, factors))
         else:
-            parts.append(_term_str(p.field, c, factors))
-    return " ".join(parts)
+            parts.append(_term_str(c, factors))
+    return " ".join(parts) or "0"
 
 
 def format_poly(p: "MultilinearPoly") -> str:
     """Canonical text form: terms in mask order, e.g. ``1 + 2*x1 - x1*x2``."""
-    return _poly_str(p)
+    return _terms_str(
+        (p.coeffs[m], ["x%d" % (i + 1) for i in range(p.n) if m >> i & 1])
+        for m in sorted(p.coeffs)
+    )
 
 
-class SparsePoly:
-    """A small-degree polynomial keyed by per-variable exponent vectors.
+# -- packed exponents ----------------------------------------------------------
+
+# Bits per variable in a packed exponent.  Exponents are capped at
+# SparsePoly.MAX_EXPONENT = 4, so an exponent in the product of two
+# polynomials is at most 8 < 2^_WIDTH and never carries into the next
+# variable.
+_WIDTH = 4
+_FIELD_MASK = (1 << _WIDTH) - 1
+_SPREAD: Dict[int, int] = {}
+
+
+def _spread(mask: int) -> int:
+    """The packed exponent of a multilinear monomial: bit i of the subset
+    mask moves to bit _WIDTH*i."""
+    out = _SPREAD.get(mask)
+    if out is None:
+        out = sum(1 << (_WIDTH * i) for i in range(mask.bit_length()) if mask >> i & 1)
+        _SPREAD[mask] = out
+    return out
+
+
+def _spread_keys(coeffs: dict) -> dict:
+    return {_spread(m): c for m, c in coeffs.items()}
+
+
+def _exponents(key: int, n: int) -> Tuple[int, ...]:
+    return tuple((key >> (_WIDTH * i)) & _FIELD_MASK for i in range(n))
+
+
+def _mul_packed(a: dict, b: dict, field: FieldDescriptor) -> dict:
+    """Product of two raw maps keyed by packed exponents, as a canonical map."""
+    out: dict = {}
+    get = out.get
+    b_items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            c = ca * cb
+            s = get(k)
+            out[k] = c if s is None else s + c
+    return field.canon(out)
+
+
+class SparsePoly(_Poly):
+    """A small-degree polynomial; each monomial is a packed exponent that
+    holds the exponent of x_i in bits [_WIDTH*(i-1), _WIDTH*i).
 
     Individual exponents are bounded by 4: the largest objects the package
     ever builds are products of two individually-quadratic polynomials
-    (squares of multilinear restrictions).
+    (squares of multilinear restrictions).  The public constructor takes
+    exponent tuples.
     """
 
     MAX_EXPONENT = 4
 
-    __slots__ = ("n", "field", "coeffs")
+    __slots__ = ()
 
     def __init__(
         self,
         n: int,
         field: FieldDescriptor,
-        coeffs: Dict[Tuple[int, ...], FieldElem],
+        coeffs: Dict[Tuple[int, ...], Scalar],
     ):
-        clean: Dict[Tuple[int, ...], FieldElem] = {}
+        clean = {}
         for exps, c in coeffs.items():
             if len(exps) != n:
                 raise IndexOutOfRange("exponent vector length %d != %d" % (len(exps), n))
             if any(e < 0 or e > self.MAX_EXPONENT for e in exps):
                 raise IndexOutOfRange("individual exponent outside 0..4")
-            c = field.elem(c)
-            if not c.is_zero():
-                clean[tuple(exps)] = c
+            c = field.raw(c)
+            if c:
+                clean[sum(e << (_WIDTH * i) for i, e in enumerate(exps))] = c
         self.n = n
         self.field = field
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, n: int, field: FieldDescriptor) -> "SparsePoly":
-        return cls(n, field, {})
-
-    @classmethod
     def from_multilinear(cls, p: MultilinearPoly) -> "SparsePoly":
-        out = {}
-        for m, c in p.coeffs.items():
-            out[tuple((m >> i) & 1 for i in range(p.n))] = c
-        return cls(p.n, p.field, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_compat(self, other: "SparsePoly"):
-        _same_field(self.field, other.field)
-        if self.n != other.n:
-            raise IndexOutOfRange(
-                "polynomials on %d and %d variables" % (self.n, other.n)
-            )
+        return cls._trusted(p.n, p.field, _spread_keys(p.coeffs))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compat(other)
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return SparsePoly(self.n, self.field, out)
+        for k, c in other.coeffs.items():
+            s = out.get(k)
+            out[k] = c if s is None else s + c
+        return SparsePoly._trusted(self.n, self.field, self.field.canon(out))
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compat(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return SparsePoly(self.n, self.field, out)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.n, self.field, {e: -c for e, c in self.coeffs.items()})
+        neg = other.field.neg
+        out = {k: neg(c) for k, c in other.coeffs.items()}
+        return self + SparsePoly._trusted(other.n, other.field, out)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compat(other)
-        out: Dict[Tuple[int, ...], FieldElem] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return SparsePoly(self.n, self.field, out)
-
-    def scale(self, c: Scalar) -> "SparsePoly":
-        c = self.field.elem(c)
-        if c.is_zero():
-            return SparsePoly.zero(self.n, self.field)
-        return SparsePoly(self.n, self.field, {e: v * c for e, v in self.coeffs.items()})
-
-    def substitute(self, i: int, value: Scalar) -> "SparsePoly":
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange("variable x%d outside 1..%d" % (i, self.n))
-        v = self.field.elem(value)
-        out: Dict[Tuple[int, ...], FieldElem] = {}
-        for e, c in self.coeffs.items():
-            k = e[i - 1]
-            if k:
-                c = c * _pow(v, k)
-                if c.is_zero():
-                    continue
-            e2 = e[: i - 1] + (0,) + e[i:]
-            s = out.get(e2)
-            out[e2] = c if s is None else s + c
-        return SparsePoly(self.n, self.field, out)
+        out = _mul_packed(self.coeffs, other.coeffs, self.field)
+        if any((k + _OVER) & _TOP for k in out):
+            raise IndexOutOfRange("individual exponent outside 0..4")
+        return SparsePoly._trusted(self.n, self.field, out)
 
     def divide_exact(self, divisor: "SparsePoly") -> Optional["SparsePoly"]:
         """Exact quotient self / divisor, or None when division is inexact.
 
         Plain multivariate long division in lex order; for a single divisor
-        the remainder vanishes exactly when the divisor divides self.
-        Intermediate terms are kept on raw dicts so the exponent cap only
-        applies to the final quotient.
+        the remainder vanishes exactly when the divisor divides self.  The
+        remainder is kept on exponent tuples, whose entries may exceed the
+        packed width, so the exponent cap only applies to the quotient.
+        The leading monomial strictly decreases at every step, so each
+        quotient monomial is produced once.
         """
         self._check_compat(divisor)
         if divisor.is_zero():
             raise DivisionByZero("division by the zero polynomial")
-        lead = max(divisor.coeffs)
-        lead_c = divisor.coeffs[lead]
-        rem = dict(self.coeffs)
-        quot: Dict[Tuple[int, ...], FieldElem] = {}
+        field, n = self.field, self.n
+        terms = [(_exponents(k, n), c) for k, c in divisor.coeffs.items()]
+        lead, lead_c = max(terms, key=lambda t: t[0])
+        rem = {_exponents(k, n): c for k, c in self.coeffs.items()}
+        quot = {}
         while rem:
             e = max(rem)
             if any(a < b for a, b in zip(e, lead)):
                 return None
             shift = tuple(a - b for a, b in zip(e, lead))
-            factor = rem[e] / lead_c
-            q = quot.get(shift)
-            quot[shift] = factor if q is None else q + factor
-            for de, dc in divisor.coeffs.items():
+            factor = field.div(rem[e], lead_c)
+            quot[shift] = factor
+            for de, dc in terms:
                 t = tuple(a + b for a, b in zip(shift, de))
-                c = dc * factor
-                s = rem.get(t)
-                s = -c if s is None else s - c
-                if s.is_zero():
-                    rem.pop(t, None)
-                else:
+                s = field.sub(rem.get(t, 0), field.mul(dc, factor))
+                if s:
                     rem[t] = s
-        return SparsePoly(self.n, self.field, quot)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.field, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return "SparsePoly(%d, %r, %s)" % (self.n, self.field, sparse_str(self))
+                else:
+                    rem.pop(t, None)
+        return SparsePoly(n, field, quot)
 
     def __str__(self):
         return sparse_str(self)
 
 
-def _pow(v: FieldElem, k: int) -> FieldElem:
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
+# In a product of two SparsePolys every exponent e is at most
+# 2 * MAX_EXPONENT = 8, and e + 3 reaches bit 3 of its field exactly when
+# e > MAX_EXPONENT, without carrying out of the field.
+_OVER = sum(
+    ((1 << (_WIDTH - 1)) - 1 - SparsePoly.MAX_EXPONENT) << (_WIDTH * i)
+    for i in range(MAX_VARIABLES)
+)
+_TOP = sum((1 << (_WIDTH - 1)) << (_WIDTH * i) for i in range(MAX_VARIABLES))
 
 
 def sparse_str(p: SparsePoly) -> str:
     """Display form mirroring the multilinear one; repeated factors show
     powers, e.g. ``x3*x3``."""
-    if not p.coeffs:
-        return "0"
-
-    def key(e):
-        return sum(v * (SparsePoly.MAX_EXPONENT + 1) ** i for i, v in enumerate(e))
-
-    rational = p.field.kind == "rationals"
-    parts: List[str] = []
-    for e in sorted(p.coeffs, key=key):
-        c = p.coeffs[e]
-        factors = []
-        for i, k in enumerate(e):
-            factors.extend(["x%d" % (i + 1)] * k)
-        if rational and parts and c.value < 0:
-            parts.append("- " + _term_str(p.field, -c, factors))
-        elif parts:
-            parts.append("+ " + _term_str(p.field, c, factors))
-        else:
-            parts.append(_term_str(p.field, c, factors))
-    return " ".join(parts)
+    return _terms_str(
+        (
+            p.coeffs[k],
+            ["x%d" % (i + 1) for i, e in enumerate(_exponents(k, p.n)) for _ in range(e)],
+        )
+        for k in sorted(p.coeffs)
+    )
 
 
 # -- the commutator ---------------------------------------------------------
@@ -489,13 +478,12 @@ def elementary_symmetric(n: int, k: int, field: FieldDescriptor = QQ) -> Multili
     """S_n^k: the sum of all degree-k multilinear monomials on n variables."""
     if not (0 <= k <= n):
         raise IndexOutOfRange("need 0 <= k <= n, got k=%d, n=%d" % (k, n))
-    one = field.one()
     coeffs = {}
     for subset in combinations(range(n), k):
         mask = 0
         for i in subset:
             mask |= 1 << i
-        coeffs[mask] = one
+        coeffs[mask] = 1
     return MultilinearPoly(n, field, coeffs)
 
 
@@ -561,7 +549,7 @@ def linear_dependent(polys: Sequence[MultilinearPoly]) -> Optional[List[FieldEle
     for r, p in enumerate(polys):
         vec = [zero] * len(masks)
         for m, c in p.coeffs.items():
-            vec[col[m]] = c
+            vec[col[m]] = FieldElem(field, c)
         combo = [zero] * k
         combo[r] = field.one()
         rows.append(vec)

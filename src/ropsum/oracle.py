@@ -20,7 +20,9 @@ persisted to a flat binary file and reloaded bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -59,7 +61,7 @@ def pack(poly: MultilinearPoly) -> PackedPoly:
     p = poly.field.p
     value = 0
     for mask, c in poly.coeffs.items():
-        value += c.value * p**mask
+        value += c * p**mask
     return PackedPoly(p, poly.n, value)
 
 
@@ -71,9 +73,9 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
     while v:
         v, digit = divmod(v, packed.p)
         if digit:
-            coeffs[mask] = field.elem(digit)
+            coeffs[mask] = digit
         mask += 1
-    return MultilinearPoly(packed.n, field, coeffs)
+    return MultilinearPoly._trusted(packed.n, field, coeffs)
 
 
 def _digits(value: int, p: int, count: int) -> List[int]:
@@ -98,16 +100,6 @@ def _evals_to_coeffs(evals: List[int], p: int, n: int) -> List[int]:
         for s in range(1 << n):
             if s & bit:
                 out[s] = (out[s] - out[s ^ bit]) % p
-    return out
-
-
-def _coeffs_to_evals(coeffs: List[int], p: int, n: int) -> List[int]:
-    out = list(coeffs)
-    for b in range(n):
-        bit = 1 << b
-        for s in range(1 << n):
-            if s & bit:
-                out[s] = (out[s] + out[s ^ bit]) % p
     return out
 
 
@@ -371,13 +363,27 @@ _HEADER = struct.Struct("<4sIIIQ")
 
 
 def save_class(cls: RopClass, path: str):
-    """Write the class to a flat binary file (whole-file replace)."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, cls.p, cls.n, len(cls.members)))
-        fh.write(struct.pack("<%dQ" % len(cls.members), *cls.members))
+    """Write the class to a flat binary file.  The bytes go to a temporary
+    file in the same directory, which then replaces ``path`` in one step,
+    so a reader never sees a partly written file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, cls.p, cls.n, len(cls.members)))
+            fh.write(struct.pack("<%dQ" % len(cls.members), *cls.members))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_class(path: str) -> RopClass:
+    """Read a class written by ``save_class``, refusing any file that is not
+    a well-formed class: besides the layout, the parameters must be
+    feasible, the members strictly increasing and in range, and the
+    constants 0..p-1, which every read-once class contains, present."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -387,8 +393,18 @@ def load_class(path: str) -> RopClass:
             raise ParseError("bad magic in %r" % path)
         if version != _VERSION:
             raise ParseError("unsupported version %d in %r" % (version, path))
+        if not 1 <= n <= _FEASIBLE.get(p, 0):
+            raise ParseError("infeasible parameters (p=%d, n=%d) in %r" % (p, n, path))
         body = fh.read(8 * count)
         if len(body) != 8 * count:
             raise ParseError("truncated member table in %r" % path)
-        members = struct.unpack("<%dQ" % count, body)
-    return RopClass(p, n, tuple(members))
+        if fh.read(1):
+            raise ParseError("trailing bytes after the member table in %r" % path)
+    members = struct.unpack("<%dQ" % count, body)
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ParseError("members not strictly increasing in %r" % path)
+    if members and members[-1] >= p ** (1 << n):
+        raise ParseError("member outside [0, p^(2^n)) in %r" % path)
+    if members[:p] != tuple(range(p)):
+        raise ParseError("class in %r lacks the constants 0..%d" % (path, p - 1))
+    return RopClass(p, n, members)

@@ -15,15 +15,15 @@ decision ``family4_decide`` for the weighted quadratic family, which
 either emits a verified two-formula witness or returns the three
 discriminants d_1, d_2, d_3 none of which has a square root.
 
-Internally the recognizer works on raw coefficient maps (mask -> Fraction
-or int mod p) rather than wrapped field elements; the full-universe
-cross-checks against the exhaustive oracle make that speed worthwhile.
+The recognizer works directly on a polynomial's raw coefficient map
+(mask -> Fraction, or int in [0, p)) with its field descriptor's
+arithmetic, and tests the identity and the separability of variable pairs
+with the packed-exponent product of :mod:`ropsum.mpoly`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -32,7 +32,16 @@ from .errors import (
     RopsumError,
     WrongArity,
 )
-from .mpoly import MultilinearPoly, _infer_field, family4, linear_dependent
+from .mpoly import (
+    MultilinearPoly,
+    _disjoint_product,
+    _infer_field,
+    _mul_packed,
+    _spread,
+    _spread_keys,
+    family4,
+    linear_dependent,
+)
 from .rof import (
     ADD,
     MUL,
@@ -48,75 +57,8 @@ from .rof import (
 from .scalars import FieldDescriptor, FieldElem, sqrt_in_field
 
 # ---------------------------------------------------------------------------
-# raw coefficient-map engine
+# coefficient-map helpers
 # ---------------------------------------------------------------------------
-
-
-class _Ops:
-    """Field arithmetic on raw values (Fraction over Q, int mod p)."""
-
-    __slots__ = ("field", "zero", "one", "add", "sub", "mul", "div", "neg")
-
-    def __init__(self, field: FieldDescriptor):
-        self.field = field
-        if field.kind == "rationals":
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.add = lambda a, b: a + b
-            self.sub = lambda a, b: a - b
-            self.mul = lambda a, b: a * b
-            self.div = lambda a, b: a / b
-            self.neg = lambda a: -a
-        else:
-            p = field.p
-            self.zero = 0
-            self.one = 1
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.mul = lambda a, b: (a * b) % p
-            self.div = lambda a, b: a * pow(b, -1, p) % p
-            self.neg = lambda a: (-a) % p
-
-
-def _raw(p: MultilinearPoly) -> Dict[int, object]:
-    return {m: c.value for m, c in p.coeffs.items()}
-
-
-def _wrap(field: FieldDescriptor, n: int, coeffs: Dict[int, object]) -> MultilinearPoly:
-    return MultilinearPoly(n, field, {m: field.elem(c) for m, c in coeffs.items()})
-
-
-_SPREAD: Dict[int, int] = {}
-
-
-def _spread(mask: int) -> int:
-    """Move bit i of a subset mask to bit 2i, making room for exponent 2."""
-    cached = _SPREAD.get(mask)
-    if cached is not None:
-        return cached
-    out = 0
-    m = mask
-    i = 0
-    while m:
-        if m & 1:
-            out |= 1 << (2 * i)
-        m >>= 1
-        i += 1
-    _SPREAD[mask] = out
-    return out
-
-
-def _mul_packed(a: Dict[int, object], b: Dict[int, object], ops: _Ops) -> Dict[int, object]:
-    """Product of two multilinear maps, keyed by 2-bit-per-variable exponents."""
-    out: Dict[int, object] = {}
-    for ma, ca in a.items():
-        sa = _spread(ma)
-        for mb, cb in b.items():
-            k = sa + _spread(mb)
-            c = ops.mul(ca, cb)
-            s = out.get(k)
-            out[k] = c if s is None else ops.add(s, c)
-    return {k: c for k, c in out.items() if c != 0}
 
 
 def _partial_raw(coeffs: Dict[int, object], bit: int) -> Dict[int, object]:
@@ -124,7 +66,7 @@ def _partial_raw(coeffs: Dict[int, object], bit: int) -> Dict[int, object]:
 
 
 def _restrict_assign(
-    coeffs: Dict[int, object], wmask: int, ones: int, ops: _Ops
+    coeffs: Dict[int, object], wmask: int, ones: int, field: FieldDescriptor
 ) -> Dict[int, object]:
     """Set every variable in wmask to 0/1 per ``ones``; result drops wmask."""
     out: Dict[int, object] = {}
@@ -134,11 +76,11 @@ def _restrict_assign(
             continue
         m2 = m & ~wmask
         s = out.get(m2)
-        out[m2] = c if s is None else ops.add(s, c)
-    return {m: c for m, c in out.items() if c != 0}
+        out[m2] = c if s is None else s + c
+    return field.canon(out)
 
 
-def _nonzero_point(coeffs: Dict[int, object], wmask: int, ops: _Ops) -> int:
+def _nonzero_point(coeffs: Dict[int, object], wmask: int, field: FieldDescriptor) -> int:
     """A 0/1 assignment (as a ones-mask) of the wmask variables keeping the
     polynomial nonzero; greedy per variable, trying 0 before 1."""
     ones = 0
@@ -147,12 +89,12 @@ def _nonzero_point(coeffs: Dict[int, object], wmask: int, ops: _Ops) -> int:
     while m:
         bit = m & -m
         m ^= bit
-        at0 = _restrict_assign(cur, bit, 0, ops)
+        at0 = _restrict_assign(cur, bit, 0, field)
         if at0:
             cur = at0
         else:
             ones |= bit
-            cur = _restrict_assign(cur, bit, bit, ops)
+            cur = _restrict_assign(cur, bit, bit, field)
     if not cur:
         raise RopsumError("internal: no nonvanishing 0/1 point on a nonzero polynomial")
     return ones
@@ -206,7 +148,9 @@ def _interaction_adj(coeffs: Dict[int, object]) -> Dict[int, Set[int]]:
     return adj
 
 
-def _separable(coeffs: Dict[int, object], bi: int, bj: int, ops: _Ops) -> bool:
+def _separable(
+    coeffs: Dict[int, object], bi: int, bj: int, field: FieldDescriptor
+) -> bool:
     """Whether x_i and x_j can end up in different variable-disjoint factors:
     exact test A*D == B*C on the decomposition p = A + B x_i + C x_j + D x_i x_j."""
     a: Dict[int, object] = {}
@@ -217,17 +161,19 @@ def _separable(coeffs: Dict[int, object], bi: int, bj: int, ops: _Ops) -> bool:
     for m, v in coeffs.items():
         k = m & both
         if k == 0:
-            a[m] = v
+            a[_spread(m)] = v
         elif k == bi:
-            b[m ^ bi] = v
+            b[_spread(m ^ bi)] = v
         elif k == bj:
-            c[m ^ bj] = v
+            c[_spread(m ^ bj)] = v
         else:
-            d[m ^ both] = v
-    return _mul_packed(a, d, ops) == _mul_packed(b, c, ops)
+            d[_spread(m ^ both)] = v
+    return _mul_packed(a, d, field) == _mul_packed(b, c, field)
 
 
-def _factor_blocks(coeffs: Dict[int, object], ops: _Ops) -> List[Dict[int, object]]:
+def _factor_blocks(
+    coeffs: Dict[int, object], field: FieldDescriptor
+) -> List[Dict[int, object]]:
     """Maximal variable-disjoint factorization of a nonconstant map; the
     returned factors multiply back to the input exactly (asserted)."""
     vmask = 0
@@ -237,7 +183,7 @@ def _factor_blocks(coeffs: Dict[int, object], ops: _Ops) -> List[Dict[int, objec
     adj: Dict[int, Set[int]] = {b: set() for b in bits}
     for i in range(len(bits)):
         for j in range(i + 1, len(bits)):
-            if not _separable(coeffs, bits[i], bits[j], ops):
+            if not _separable(coeffs, bits[i], bits[j], field):
                 adj[bits[i]].add(bits[j])
                 adj[bits[j]].add(bits[i])
     blocks = _components(adj)
@@ -251,24 +197,17 @@ def _factor_blocks(coeffs: Dict[int, object], ops: _Ops) -> List[Dict[int, objec
         for m in rest:
             restmask |= m
         wmask = restmask & ~block
-        ones_w = _nonzero_point(rest, wmask, ops)
-        f_tilde = _restrict_assign(rest, wmask, ones_w, ops)
-        ones_b = _nonzero_point(f_tilde, block, ops)
-        val = _restrict_assign(f_tilde, block, ones_b, ops).get(0, ops.zero)
-        factors.append({m: ops.div(c, val) for m, c in f_tilde.items()})
-        rest = _restrict_assign(rest, block, ones_b, ops)
+        ones_w = _nonzero_point(rest, wmask, field)
+        f_tilde = _restrict_assign(rest, wmask, ones_w, field)
+        ones_b = _nonzero_point(f_tilde, block, field)
+        val = _restrict_assign(f_tilde, block, ones_b, field)[0]
+        factors.append({m: field.div(c, val) for m, c in f_tilde.items()})
+        rest = _restrict_assign(rest, block, ones_b, field)
     factors.append(rest)
 
     product = factors[0]
     for f in factors[1:]:
-        nxt: Dict[int, object] = {}
-        for ma, ca in product.items():
-            for mb, cb in f.items():
-                k = ma | mb
-                c = ops.mul(ca, cb)
-                s = nxt.get(k)
-                nxt[k] = c if s is None else ops.add(s, c)
-        product = {m: c for m, c in nxt.items() if c != 0}
+        product = _disjoint_product(product, f, field)
     if product != coeffs:
         raise RopsumError("internal: block factorization failed verification")
     return factors
@@ -289,7 +228,6 @@ def _min_var_bit(coeffs: Dict[int, object]) -> int:
 def _is_rop_raw(
     coeffs: Dict[int, object],
     field: FieldDescriptor,
-    ops: _Ops,
     cache: Dict[frozenset, Optional[Rof]],
 ) -> Optional[Rof]:
     key = frozenset(coeffs.items())
@@ -304,19 +242,19 @@ def _is_rop_raw(
     result: Optional[Rof]
     if vmask == 0:
         # A bare constant: realized on a zero-scaled leaf of x1.
-        result = Leaf(1, field.zero(), field.elem(coeffs.get(0, ops.zero)))
+        result = Leaf(1, field.zero(), field.elem(coeffs.get(0, 0)))
     elif vmask.bit_count() == 1:
         var = vmask.bit_length()
-        alpha = field.elem(coeffs.get(vmask, ops.zero))
-        beta = field.elem(coeffs.get(0, ops.zero))
+        alpha = field.elem(coeffs.get(vmask, 0))
+        beta = field.elem(coeffs.get(0, 0))
         result = Leaf(var, alpha, beta)
     else:
         adj = _interaction_adj(coeffs)
         comps = _components(adj)
         if len(comps) > 1:
-            result = _additive_split(coeffs, comps, field, ops, cache)
+            result = _additive_split(coeffs, comps, field, cache)
         else:
-            result = _multiplicative_split(coeffs, adj, field, ops, cache)
+            result = _multiplicative_split(coeffs, adj, field, cache)
 
     cache[key] = result
     return result
@@ -325,7 +263,7 @@ def _is_rop_raw(
 _MISS = object()
 
 
-def _additive_split(coeffs, comps, field, ops, cache) -> Optional[Rof]:
+def _additive_split(coeffs, comps, field, cache) -> Optional[Rof]:
     parts: List[Dict[int, object]] = [dict() for _ in comps]
     index = {}
     for idx, comp in enumerate(comps):
@@ -341,7 +279,7 @@ def _additive_split(coeffs, comps, field, ops, cache) -> Optional[Rof]:
 
     summands = []
     for part in parts:
-        w = _is_rop_raw(part, field, ops, cache)
+        w = _is_rop_raw(part, field, cache)
         if w is None:
             return None
         summands.append(w)
@@ -352,54 +290,48 @@ def _additive_split(coeffs, comps, field, ops, cache) -> Optional[Rof]:
     return tree
 
 
-def _multiplicative_split(coeffs, adj, field, ops, cache) -> Optional[Rof]:
+def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
     edges = sorted(
         (bi.bit_length(), bj.bit_length())
         for bi in adj
         for bj in adj[bi]
         if bi < bj
     )
+    packed = _spread_keys(coeffs)
     for i, j in edges:
         bi, bj = 1 << (i - 1), 1 << (j - 1)
         di = _partial_raw(coeffs, bi)
         dj = _partial_raw(coeffs, bj)
         dij = _partial_raw(di, bj)
-        cross = _mul_packed(di, dj, ops)
-        whole = _mul_packed(coeffs, dij, ops)
-        diff = dict(whole)
-        for k, c in cross.items():
+        # diff = f * dij - di * dj must be betahat * dij for a constant betahat
+        diff = _mul_packed(packed, _spread_keys(dij), field)
+        for k, c in _mul_packed(_spread_keys(di), _spread_keys(dj), field).items():
             s = diff.get(k)
-            s = ops.neg(c) if s is None else ops.sub(s, c)
-            if s == 0:
-                diff.pop(k, None)
-            else:
-                diff[k] = s
-        # diff must be betahat * dij for a field constant betahat.
+            diff[k] = -c if s is None else s - c
+        diff = field.canon(diff)
         if not diff:
-            betahat = ops.zero
+            betahat = 0
         else:
             k0 = min(dij)
             num = diff.get(_spread(k0))
             if num is None:
                 continue
-            betahat = ops.div(num, dij[k0])
+            betahat = field.div(num, dij[k0])
             if len(diff) != len(dij) or any(
-                diff.get(_spread(k)) != ops.mul(betahat, c) for k, c in dij.items()
+                diff.get(_spread(k)) != field.mul(betahat, c) for k, c in dij.items()
             ):
                 continue
         shifted = dict(coeffs)
-        c0 = ops.sub(shifted.get(0, ops.zero), betahat)
-        if c0 == 0:
-            shifted.pop(0, None)
-        else:
+        c0 = field.sub(shifted.pop(0, 0), betahat)
+        if c0:
             shifted[0] = c0
-        factors = _factor_blocks(shifted, ops)
+        factors = _factor_blocks(shifted, field)
         if len(factors) < 2:
             continue
         factors.sort(key=_min_var_bit)
         witnesses = []
         for f in factors:
-            w = _is_rop_raw(f, field, ops, cache)
+            w = _is_rop_raw(f, field, cache)
             if w is None:
                 break
             witnesses.append(w)
@@ -422,8 +354,7 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
     """
     if p.n < 1:
         raise PreconditionViolated("recognition needs a variable range of n >= 1")
-    ops = _Ops(p.field)
-    witness = _is_rop_raw(_raw(p), p.field, ops, {})
+    witness = _is_rop_raw(p.coeffs, p.field, {})
     if witness is not None and evaluate(witness, p.n) != p:
         raise RopsumError("internal: recognition witness failed re-evaluation")
     return witness
@@ -436,7 +367,7 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
 
 def interaction_graph(p: MultilinearPoly) -> Dict[int, Set[int]]:
     """Graph on Var(p) with an edge {i, j} iff d_i d_j p != 0."""
-    adj = _interaction_adj(_raw(p))
+    adj = _interaction_adj(p.coeffs)
     return {
         b.bit_length(): {o.bit_length() for o in nbrs} for b, nbrs in adj.items()
     }
@@ -450,9 +381,8 @@ def disjoint_factorization(p: MultilinearPoly) -> List[MultilinearPoly]:
     """
     if p.is_constant():
         raise PreconditionViolated("factorization needs a nonconstant polynomial")
-    ops = _Ops(p.field)
-    blocks = _factor_blocks(_raw(p), ops)
-    return [_wrap(p.field, p.n, b) for b in blocks]
+    blocks = _factor_blocks(p.coeffs, p.field)
+    return [MultilinearPoly._trusted(p.n, p.field, b) for b in blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,8 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
         if isinstance(node, Leaf):
             if not (1 <= node.var <= n):
                 raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
-            return MultilinearPoly(
-                n, field, {1 << (node.var - 1): node.alpha, 0: node.beta}
-            )
+            coeffs = {1 << (node.var - 1): field.raw(node.alpha), 0: field.raw(node.beta)}
+            return MultilinearPoly._trusted(n, field, field.canon(coeffs))
         left = walk(node.left)
         right = walk(node.right)
         inner = left + right if node.op == ADD else left.mul_disjoint(right)
@@ -290,10 +289,13 @@ def sum_validate(s: RopSum) -> List[Violation]:
 
 
 def sum_evaluate(s: RopSum) -> MultilinearPoly:
-    total = MultilinearPoly.zero(s.n, s.field)
+    """The polynomial the sum computes, accumulated in one coefficient map."""
+    total: dict = {}
     for rof in s.summands:
-        total = total + evaluate(rof, s.n)
-    return total
+        for m, c in evaluate(rof, s.n).coeffs.items():
+            t = total.get(m)
+            total[m] = c if t is None else t + c
+    return MultilinearPoly._trusted(s.n, s.field, s.field.canon(total))
 
 
 def verify_against(s: RopSum, target: MultilinearPoly) -> bool:

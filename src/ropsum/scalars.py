@@ -1,15 +1,18 @@
 """Exact scalar arithmetic over the rationals and small prime fields.
 
-Every constant in the package is a :class:`FieldElem` tagged with its
-:class:`FieldDescriptor`; mixing elements of different fields raises
-``FieldMismatch``.  Rationals are backed by ``fractions.Fraction`` (always
-stored reduced, positive denominator); prime-field values are ints in
-``[0, p)``.
+A :class:`FieldDescriptor` names the field and owns its arithmetic on raw
+values: ``fractions.Fraction`` over the rationals (always reduced, positive
+denominator) and ints in ``[0, p)`` over F_p.  The raw operations are bound
+once per descriptor, so no caller branches on the kind of field.
+Polynomial coefficients are stored as raw values; every scalar handed to a
+caller is a :class:`FieldElem` tagged with its descriptor, and mixing
+elements of different fields raises ``FieldMismatch``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,21 +39,46 @@ def is_prime(p: int) -> bool:
 
 
 class FieldDescriptor:
-    """The ambient field: the rationals, or F_p for a prime 2 <= p < 2^31."""
+    """The ambient field: the rationals, or F_p for a prime 2 <= p < 2^31.
 
-    __slots__ = ("kind", "p")
+    ``add``, ``sub``, ``mul``, ``neg``, ``div`` and ``inv`` act on raw
+    values and return canonical raw values.  Bulk loops may instead combine
+    raw values with Python's own ``+``, ``-`` and ``*`` and pass the
+    resulting map through ``canon``, which reduces every value to its
+    canonical form and drops the zero entries.
+    """
+
+    __slots__ = ("kind", "p", "add", "sub", "mul", "neg", "div", "inv", "canon")
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == "rationals":
             if p is not None:
                 raise PreconditionViolated("the rational field has no modulus")
+            ops = (
+                operator.add,
+                operator.sub,
+                operator.mul,
+                operator.neg,
+                operator.truediv,
+                lambda a: 1 / a,
+                lambda d: {k: v for k, v in d.items() if v},
+            )
         elif kind == "prime":
             if p is None or not (2 <= p < MAX_PRIME) or not is_prime(p):
                 raise PreconditionViolated("modulus must be a prime in [2, 2^31)")
+            ops = (
+                lambda a, b: (a + b) % p,
+                lambda a, b: (a - b) % p,
+                lambda a, b: a * b % p,
+                lambda a: -a % p,
+                lambda a, b: a * pow(b, -1, p) % p,
+                lambda a: pow(a, -1, p),
+                lambda d: {k: r for k, v in d.items() if (r := v % p)},
+            )
         else:
             raise PreconditionViolated("unknown field kind %r" % kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
+        for name, value in zip(self.__slots__, (kind, p) + ops):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldDescriptor is immutable")
@@ -65,20 +93,25 @@ class FieldDescriptor:
     def one(self) -> "FieldElem":
         return self.elem(1)
 
-    def elem(self, value: Union[int, Fraction, "FieldElem"]) -> "FieldElem":
-        """Coerce an int, Fraction or FieldElem into this field."""
+    def raw(self, value: Union[int, Fraction, "FieldElem"]):
+        """The canonical raw value of an int, Fraction or FieldElem."""
         if isinstance(value, FieldElem):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch("element of %s used in %s" % (value.field, self))
-            return value
+            return value.value
         if self.kind == "rationals":
-            return FieldElem(self, Fraction(value))
+            return Fraction(value)
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
                 raise DivisionByZero("denominator vanishes mod %d" % self.p)
-            return FieldElem(self, value.numerator * pow(den, -1, self.p) % self.p)
-        return FieldElem(self, value % self.p)
+            return value.numerator * pow(den, -1, self.p) % self.p
+        return value % self.p
+
+    def elem(self, value: Union[int, Fraction, "FieldElem"]) -> "FieldElem":
+        """Coerce an int, Fraction or FieldElem into this field."""
+        raw = self.raw(value)
+        return value if isinstance(value, FieldElem) else FieldElem(self, raw)
 
     def elements(self):
         """Iterate all field elements (prime fields only)."""
@@ -124,68 +157,55 @@ class FieldElem:
         raise AttributeError("FieldElem is immutable")
 
     def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    "cannot combine %s element with %s element"
-                    % (self.field, other.field)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.elem(other)
+        """The raw value of an operand in this element's field, or None
+        for an operand that is not a scalar."""
+        if isinstance(other, (FieldElem, int, Fraction)):
+            return self.field.raw(other)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        if self.field.kind == "rationals":
-            return FieldElem(self.field, self.value + other.value)
-        return FieldElem(self.field, (self.value + other.value) % self.field.p)
+        return FieldElem(self.field, self.field.add(self.value, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        if self.field.kind == "rationals":
-            return FieldElem(self.field, self.value - other.value)
-        return FieldElem(self.field, (self.value - other.value) % self.field.p)
+        return FieldElem(self.field, self.field.sub(self.value, b))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        if self.field.kind == "rationals":
-            return FieldElem(self.field, self.value * other.value)
-        return FieldElem(self.field, (self.value * other.value) % self.field.p)
+        return FieldElem(self.field, self.field.mul(self.value, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return self * other.inverse()
+        if b == 0:
+            raise DivisionByZero("division by zero in %s" % self.field)
+        return FieldElem(self.field, self.field.div(self.value, b))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __neg__(self):
-        if self.field.kind == "rationals":
-            return FieldElem(self.field, -self.value)
-        return FieldElem(self.field, (-self.value) % self.field.p)
+        return FieldElem(self.field, self.field.neg(self.value))
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise DivisionByZero("inverse of zero in %s" % self.field)
-        if self.field.kind == "rationals":
-            return FieldElem(self.field, 1 / self.value)
-        return FieldElem(self.field, pow(self.value, -1, self.field.p))
+        return FieldElem(self.field, self.field.inv(self.value))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -215,8 +235,9 @@ def sqrt_in_field(x: FieldElem) -> Optional[FieldElem]:
 
     Over the rationals a root exists iff x >= 0 and both the numerator and
     the denominator of the reduced form are perfect squares.  Over F_p the
-    Euler criterion screens non-residues, then the root is found by direct
-    search; of the two roots the smaller representative is returned.
+    Euler criterion screens non-residues, then Tonelli-Shanks finds a root
+    with O(log^2 p) modular multiplications; of the two roots the smaller
+    representative is returned.
     """
     field = x.field
     if field.kind == "rationals":
@@ -230,14 +251,29 @@ def sqrt_in_field(x: FieldElem) -> Optional[FieldElem]:
         return FieldElem(field, Fraction(rn, rd))
     p = field.p
     v = x.value
-    if v == 0:
-        return field.zero()
-    if p > 2 and pow(v, (p - 1) // 2, p) != 1:
+    if v == 0 or p == 2:
+        return x
+    if pow(v, (p - 1) // 2, p) != 1:
         return None
-    for r in range(1, p // 2 + 1):
-        if r * r % p == v:
-            return FieldElem(field, r)
-    return None
+    # p - 1 = q * 2^s with q odd; z is any non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    # invariant: r^2 = v * t, and t has order dividing 2^(s-1)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return FieldElem(field, min(r, p - r))
 
 
 _MOD_RE = re.compile(r"^([+-]?\d+)\s+mod\s+(\d+)$")

@@ -1,5 +1,7 @@
 import json
 import random
+import struct
+import time
 
 import pytest
 
@@ -235,3 +237,48 @@ def test_decompose_verify_end_to_end_random(capsys, tmp_path):
         path.write_text("\n".join(payload["rofs"]))
         code, out, _ = run(capsys, "verify", "--target=" + text, str(path))
         assert code == 0 and json.loads(out)["equal"] is True
+
+
+def test_check2rop_large_prime_is_fast(capsys):
+    p = 2147483647
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check2rop", "--field", "fp:%d" % p, "--family", "3,5,7")
+    assert time.perf_counter() - start < 5
+    payload = json.loads(out)
+    assert code == 0 and payload["branch"] == "C3-false"
+    tau = int(payload["params"]["tau"])
+    assert tau * tau % p == -675 % p  # d1 = (9 - 25 - 49)^2 - 70^2
+
+
+def test_exit_code_verify_malformed_json(capsys):
+    code, _, err = run(capsys, "verify", "--target", "x1", "[1,2")
+    assert code == 2 and "parse error" in err
+
+
+def test_exit_code_verify_json_entry_not_a_string(capsys):
+    code, _, err = run(capsys, "verify", "--target", "x1", "[1]")
+    assert code == 2 and "parse error" in err
+
+
+def test_exit_code_symmetric_strategy_bad_n(capsys):
+    code, _, err = run(capsys, "decompose", "--strategy", "symmetric:abc,1,1")
+    assert code == 2 and "parse error" in err
+
+
+def test_exit_code_cache_in_missing_directory(capsys, tmp_path):
+    cache = tmp_path / "missing" / "c.ropc"
+    code, _, err = run(capsys, "oracle", "--p", "2", "--n", "3", "--cache", str(cache))
+    assert code == 3 and "precondition" in err
+
+
+def test_oracle_cache_with_zeroed_count_is_refused(capsys, tmp_path):
+    cache = tmp_path / "F"
+    code, _, _ = run(capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache))
+    assert code == 0
+    data = bytearray(cache.read_bytes())
+    struct.pack_into("<Q", data, 16, 0)  # the header's member count
+    cache.write_bytes(bytes(data))
+    code, out, err = run(
+        capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache), "--min-k", "x1*x2"
+    )
+    assert code == 2 and out == "" and "parse error" in err

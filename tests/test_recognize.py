@@ -175,6 +175,37 @@ def test_is_rop_matches_oracle_n3():
         assert (is_rop(poly) is not None) == (v in cls)
 
 
+def _oracle_mismatches(p, n, values, cls):
+    from ropsum.oracle import PackedPoly, unpack
+
+    return [
+        v
+        for v in values
+        if (is_rop(unpack(PackedPoly(p, n, v))) is not None) != (v in cls)
+    ]
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+def test_is_rop_matches_oracle_exhaustive(p, n):
+    from ropsum.oracle import enumerate_rops
+
+    cls = enumerate_rops(p, n)
+    assert _oracle_mismatches(p, n, range(p ** (1 << n)), cls) == []
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3)])
+def test_is_rop_matches_oracle_sampled(p, n):
+    # uniform polynomials are almost all non-ROPs, so class members are
+    # sampled as well
+    from ropsum.oracle import enumerate_rops
+
+    cls = enumerate_rops(p, n)
+    rng = random.Random(1000 * p + n)
+    values = [rng.randrange(p ** (1 << n)) for _ in range(1000)]
+    values += rng.sample(cls.members, 1000)
+    assert _oracle_mismatches(p, n, values, cls) == []
+
+
 # -- restriction-linearity (C1') ---------------------------------------------
 
 

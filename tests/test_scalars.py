@@ -81,6 +81,24 @@ def test_sqrt_prime_field_matches_exhaustive_search(p):
             assert got is None
 
 
+@pytest.mark.parametrize("p", [257, 65537, 2013265921, 2147483647])
+def test_sqrt_prime_field_large_moduli(p):
+    # 2013265921 = 15 * 2^27 + 1 takes many Tonelli-Shanks rounds
+    field = prime_field(p)
+    rng = random.Random(p)
+    roots = 0
+    for _ in range(200):
+        v = rng.randrange(p)
+        r = sqrt_in_field(field.elem(v))
+        if r is None:
+            assert pow(v, (p - 1) // 2, p) == p - 1
+        else:
+            roots += 1
+            assert r.value * r.value % p == v
+            assert r.value <= p - r.value
+    assert roots > 50
+
+
 def test_sqrt_squares_back():
     rng = random.Random(11)
     for _ in range(200):
