@@ -6,7 +6,11 @@ interaction graph (mixed-partial nonvanishing): a disconnected graph
 splits the polynomial additively; a connected one forces a top
 multiplication gate, whose constant shift is recovered from the exact
 identity (f - beta) * d_i d_j f = d_i f * d_j f and whose factors come
-from the maximal variable-disjoint factorization.
+from the maximal variable-disjoint factorization.  Each distinct beta is
+factored once per node, and the factorization's blocks come from
+union-find over the variable pairs that are not separable, so a pair
+already joined is never tested.  Both cuts are exact; a negative answer
+still costs the identity products on every edge of every node reached.
 
 On top of that sit the certified decisions for sums of two read-once
 formulas on four variables: the restriction-linearity check (C1'), the
@@ -175,18 +179,28 @@ def _factor_blocks(
     coeffs: Dict[int, object], field: FieldDescriptor
 ) -> List[Dict[int, object]]:
     """Maximal variable-disjoint factorization of a nonconstant map; the
-    returned factors multiply back to the input exactly (asserted)."""
+    returned factors multiply back to the input exactly (asserted).
+
+    The blocks are the connected components of "not separable", found by
+    union-find: a pair already in one block is not tested, and a pair that
+    is not separable merges its two blocks.  Skipped pairs lie inside one
+    component, so the blocks are those of the all-pairs test, ordered by
+    lowest variable.
+    """
     vmask = 0
     for m in coeffs:
         vmask |= m
     bits = _bits(vmask)
-    adj: Dict[int, Set[int]] = {b: set() for b in bits}
+    block = {b: b for b in bits}  # variable bit -> mask of its current block
     for i in range(len(bits)):
         for j in range(i + 1, len(bits)):
-            if not _separable(coeffs, bits[i], bits[j], field):
-                adj[bits[i]].add(bits[j])
-                adj[bits[j]].add(bits[i])
-    blocks = _components(adj)
+            bi, bj = bits[i], bits[j]
+            if block[bi] & bj or _separable(coeffs, bi, bj, field):
+                continue
+            merged = block[bi] | block[bj]
+            for b in _bits(merged):
+                block[b] = merged
+    blocks = [block[b] for b in bits if block[b] & -block[b] == b]
     if len(blocks) == 1:
         return [dict(coeffs)]
 
@@ -291,6 +305,15 @@ def _additive_split(coeffs, comps, field, cache) -> Optional[Rof]:
 
 
 def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
+    """A top multiplication gate for a polynomial with a connected
+    interaction graph, or None if it has none.
+
+    Each edge {i, j} of the graph that passes the identity yields a shift
+    beta.  What follows depends on beta alone: f - beta is factored into
+    variable-disjoint blocks and each block is recognized.  So each
+    distinct beta is factored once at this node; an edge repeating a beta
+    already tried is skipped, since it would fail the same way.
+    """
     edges = sorted(
         (bi.bit_length(), bj.bit_length())
         for bi in adj
@@ -298,6 +321,7 @@ def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
         if bi < bj
     )
     packed = _spread_keys(coeffs)
+    tried = set()
     for i, j in edges:
         bi, bj = 1 << (i - 1), 1 << (j - 1)
         di = _partial_raw(coeffs, bi)
@@ -321,6 +345,9 @@ def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
                 diff.get(_spread(k)) != field.mul(betahat, c) for k, c in dij.items()
             ):
                 continue
+        if betahat in tried:
+            continue
+        tried.add(betahat)
         shifted = dict(coeffs)
         c0 = field.sub(shifted.pop(0, 0), betahat)
         if c0:

@@ -13,7 +13,7 @@ variables freely, each tree alone may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DegenerateLeaf,
@@ -57,11 +57,23 @@ class Violation(NamedTuple):
     detail: str
 
 
+def _nodes(rof: Rof) -> Iterator[Rof]:
+    """Every node of the tree in pre-order, left before right.
+
+    The walks over a tree use an explicit stack, not recursion, so a
+    formula of any depth is handled.
+    """
+    stack = [rof]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Gate):
+            stack += (node.right, node.left)
+
+
 def leaf_vars(rof: Rof) -> List[int]:
     """Variables labelling leaves, in left-to-right order (with repeats)."""
-    if isinstance(rof, Leaf):
-        return [rof.var]
-    return leaf_vars(rof.left) + leaf_vars(rof.right)
+    return [node.var for node in _nodes(rof) if isinstance(node, Leaf)]
 
 
 def field_of(rof: Rof) -> FieldDescriptor:
@@ -72,8 +84,8 @@ def validate(rof: Rof) -> List[Violation]:
     """All read-once / consistency violations; an empty list means valid."""
     violations: List[Violation] = []
     field = field_of(rof)
-
-    def walk(node: Rof):
+    seen: Dict[int, int] = {}
+    for node in _nodes(rof):
         for scalar in (node.alpha, node.beta):
             if scalar.field != field:
                 violations.append(
@@ -87,16 +99,9 @@ def validate(rof: Rof) -> List[Violation]:
                 violations.append(
                     Violation("bad_index", "leaf variable x%d" % node.var)
                 )
-        else:
-            if node.op not in (ADD, MUL):
-                violations.append(Violation("bad_gate", "unknown op %r" % node.op))
-            walk(node.left)
-            walk(node.right)
-
-    walk(rof)
-    seen: Dict[int, int] = {}
-    for v in leaf_vars(rof):
-        seen[v] = seen.get(v, 0) + 1
+            seen[node.var] = seen.get(node.var, 0) + 1
+        elif node.op not in (ADD, MUL):
+            violations.append(Violation("bad_gate", "unknown op %r" % node.op))
     for v, count in sorted(seen.items()):
         if count > 1:
             violations.append(
@@ -114,18 +119,34 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     if n is None:
         n = max(leaf_vars(rof))
 
-    def walk(node: Rof) -> MultilinearPoly:
+    # a pre-order that visits the right child first, reversed, lists every
+    # node after both its children, left subtree first
+    order: List[Rof] = []
+    stack = [rof]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Gate):
+            stack += (node.left, node.right)
+    values: List[MultilinearPoly] = []
+    for node in reversed(order):
         if isinstance(node, Leaf):
             if not (1 <= node.var <= n):
                 raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
             coeffs = {1 << (node.var - 1): field.raw(node.alpha), 0: field.raw(node.beta)}
-            return MultilinearPoly._trusted(n, field, field.canon(coeffs))
-        left = walk(node.left)
-        right = walk(node.right)
-        inner = left + right if node.op == ADD else left.mul_disjoint(right)
-        return inner.scale(node.alpha).add_constant(node.beta)
-
-    return walk(rof)
+            values.append(MultilinearPoly._trusted(n, field, field.canon(coeffs)))
+        else:
+            right = values.pop()
+            left = values.pop()
+            inner = left + right if node.op == ADD else left.mul_disjoint(right)
+            # most gates of a decomposition carry the identity pair (1, 0)
+            alpha, beta = field.raw(node.alpha), field.raw(node.beta)
+            if alpha != 1:
+                inner = inner.scale(alpha)
+            if beta:
+                inner = inner.add_constant(beta)
+            values.append(inner)
+    return values[0]
 
 
 def relabel_variables(rof: Rof, mapping: Dict[int, int]) -> Rof:
@@ -144,13 +165,7 @@ def relabel_variables(rof: Rof, mapping: Dict[int, int]) -> Rof:
 
 def is_multiplicative_structural(rof: Rof) -> bool:
     """True iff the tree contains no addition gate."""
-    if isinstance(rof, Leaf):
-        return True
-    if rof.op == ADD:
-        return False
-    return is_multiplicative_structural(rof.left) and is_multiplicative_structural(
-        rof.right
-    )
+    return not any(isinstance(node, Gate) and node.op == ADD for node in _nodes(rof))
 
 
 def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
@@ -190,14 +205,8 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     if i not in all_vars:
         raise IndexOutOfRange("x%d does not occur in the formula" % i)
 
-    def check_scales(node: Rof):
-        if node.alpha.is_zero():
-            raise DegenerateLeaf("zero scale collapses a subtree to a constant")
-        if isinstance(node, Gate):
-            check_scales(node.left)
-            check_scales(node.right)
-
-    check_scales(rof)
+    if any(node.alpha.is_zero() for node in _nodes(rof)):
+        raise DegenerateLeaf("zero scale collapses a subtree to a constant")
 
     def find(node: Rof) -> Optional[Tuple[Leaf, Rof]]:
         """(leaf of x_i, sibling subtree), or None if x_i is not below."""
@@ -311,16 +320,20 @@ def verify_against(s: RopSum, target: MultilinearPoly) -> bool:
 
 def print_rof(rof: Rof) -> str:
     """Canonical s-expression, e.g. ``(mul (1 0) (leaf (2 3) x1) (leaf (1 0) x2))``."""
-    a, b = format_scalar(rof.alpha), format_scalar(rof.beta)
-    if isinstance(rof, Leaf):
-        return "(leaf (%s %s) x%d)" % (a, b, rof.var)
-    return "(%s (%s %s) %s %s)" % (
-        rof.op,
-        a,
-        b,
-        print_rof(rof.left),
-        print_rof(rof.right),
-    )
+    parts: List[str] = []
+    stack: List[Union[Rof, str]] = [rof]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        a, b = format_scalar(item.alpha), format_scalar(item.beta)
+        if isinstance(item, Leaf):
+            parts.append("(leaf (%s %s) x%d)" % (a, b, item.var))
+        else:
+            parts.append("(%s (%s %s) " % (item.op, a, b))
+            stack += (")", item.right, " ", item.left)
+    return "".join(parts)
 
 
 def _tokenize(text: str) -> List[str]:
@@ -358,28 +371,40 @@ def _parse_scalar_tokens(ts: _TokenStream, field: FieldDescriptor) -> FieldElem:
 
 
 def _parse_node(ts: _TokenStream, field: FieldDescriptor) -> Rof:
-    ts.expect("(")
-    head = ts.next()
-    if head not in ("leaf", ADD, MUL):
-        raise ParseError("expected leaf/add/mul, got %r" % head, ts.pos - 1)
-    ts.expect("(")
-    alpha = _parse_scalar_tokens(ts, field)
-    beta = _parse_scalar_tokens(ts, field)
-    ts.expect(")")
-    if head == "leaf":
+    """One formula, read with an explicit stack of the gates still open."""
+    open_gates: List[Tuple[str, FieldElem, FieldElem, List[Rof]]] = []
+    while True:
+        ts.expect("(")
+        head = ts.next()
+        if head not in ("leaf", ADD, MUL):
+            raise ParseError("expected leaf/add/mul, got %r" % head, ts.pos - 1)
+        ts.expect("(")
+        alpha = _parse_scalar_tokens(ts, field)
+        beta = _parse_scalar_tokens(ts, field)
+        ts.expect(")")
+        if head != "leaf":
+            open_gates.append((head, alpha, beta, []))
+            continue
         var_tok = ts.next()
         if not var_tok.startswith("x") or not var_tok[1:].isdigit():
             raise ParseError("expected a variable like x1, got %r" % var_tok, ts.pos - 1)
         var = int(var_tok[1:])
         if var < 1:
             raise ParseError("variable index must be >= 1", ts.pos - 1)
+        ts.expect(")")
         node: Rof = Leaf(var, alpha, beta)
-    else:
-        left = _parse_node(ts, field)
-        right = _parse_node(ts, field)
-        node = Gate(head, alpha, beta, left, right)
-    ts.expect(")")
-    return node
+        # a finished node fills the innermost open gate; a gate with both
+        # children is finished in turn
+        while open_gates:
+            head, alpha, beta, children = open_gates[-1]
+            children.append(node)
+            if len(children) < 2:
+                break
+            open_gates.pop()
+            ts.expect(")")
+            node = Gate(head, alpha, beta, children[0], children[1])
+        else:
+            return node
 
 
 def parse_rof(text: str, field: FieldDescriptor) -> Rof:

@@ -250,6 +250,26 @@ def test_check2rop_large_prime_is_fast(capsys):
     assert tau * tau % p == -675 % p  # d1 = (9 - 25 - 49)^2 - 70^2
 
 
+def test_deep_formula_eval_and_verify(capsys, tmp_path):
+    # a left-deep chain of 2,000 add gates over x1..x30, deeper than the
+    # recursion limit: an answer with exit 0, not a traceback
+    depth = 2000
+    leaves = [1] + [k % 30 + 1 for k in range(depth)]
+    path = tmp_path / "deep.rof"
+    path.write_text(
+        "(add (1 0) " * depth
+        + "(leaf (1 0) x1)"
+        + "".join(" (leaf (1 0) x%d))" % v for v in leaves[1:])
+    )
+    target = " + ".join("%d*x%d" % (leaves.count(v), v) for v in range(1, 31))
+    code, out, _ = run(capsys, "eval", str(path))
+    assert code == 0 and parse_poly_text(out, QQ) == parse_poly_text(target, QQ)
+    code, out, _ = run(capsys, "verify", "--target", target, str(path))
+    assert code == 0 and json.loads(out) == {"equal": True}
+    code, out, _ = run(capsys, "verify", "--target", target + " + 1", str(path))
+    assert code == 0 and json.loads(out) == {"equal": False}
+
+
 def test_exit_code_verify_malformed_json(capsys):
     code, _, err = run(capsys, "verify", "--target", "x1", "[1,2")
     assert code == 2 and "parse error" in err

@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -12,6 +15,7 @@ from ropsum import (
     family4,
     prime_field,
 )
+from ropsum import recognize
 from ropsum.recognize import (
     check_c1prime,
     check_c2prime,
@@ -113,12 +117,113 @@ def test_factor_random_products():
         assert prod == p
 
 
+def _all_pairs_blocks(p):
+    """Reference blocks: the components of "not separable" over all variable
+    pairs, each as a bit mask, ordered by lowest variable."""
+    bits = [1 << (v - 1) for v in p.variables()]
+    joined = {b: b for b in bits}
+    for bi, bj in combinations(bits, 2):
+        if not recognize._separable(p.coeffs, bi, bj, p.field):
+            joined[bi] |= bj
+            joined[bj] |= bi
+    blocks, seen = [], 0
+    for b in bits:
+        if b & seen:
+            continue
+        comp, todo = 0, [b]
+        while todo:
+            v = todo.pop()
+            if not v & comp:
+                comp |= v
+                todo += [u for u in bits if u & joined[v]]
+        seen |= comp
+        blocks.append(comp)
+    return blocks
+
+
+def _random_factor(rng, n, field, group):
+    """A random polynomial whose monomials use only the variables in group."""
+    gmask = sum(1 << (v - 1) for v in group)
+    return MultilinearPoly(
+        n,
+        field,
+        {
+            m: random_scalar(rng, field)
+            for m in range(1 << n)
+            if m & ~gmask == 0 and rng.random() < 0.7
+        },
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(3), prime_field(101)], ids=str)
+def test_factor_blocks_match_all_pairs_components(field):
+    rng = random.Random(7)
+    for trial in range(120):
+        n = rng.randint(2, 7)
+        variables = list(range(1, n + 1))
+        rng.shuffle(variables)
+        if trial % 3 == 0:
+            groups = [variables]  # one random factor, usually a single block
+        elif trial % 3 == 1:
+            groups = [[v] for v in variables]  # one variable per block
+        else:
+            k = rng.randint(2, min(4, n))
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            groups = [variables[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        p = MultilinearPoly.constant(n, field, 1)
+        for group in groups:
+            factor = MultilinearPoly.constant(n, field, 0)
+            while any(not factor.partial(v).coeffs for v in group):
+                factor = _random_factor(rng, n, field, group)
+            p = p.mul_disjoint(factor)
+        factors = disjoint_factorization(p)
+        blocks = [sum(1 << (v - 1) for v in f.variables()) for f in factors]
+        assert blocks == _all_pairs_blocks(p)
+        if trial % 3 == 1:
+            assert blocks == sorted(1 << (v - 1) for v in variables)
+
+
 def test_factor_rejects_constant():
     with pytest.raises(PreconditionViolated):
         disjoint_factorization(P(2, {0: 3}))
 
 
 # -- read-once recognition ---------------------------------------------------
+
+
+def test_is_rop_work_on_certified_non_rop(monkeypatch):
+    # a planted ROP on x1..x7 times S_3^2 on x8..x10: not read-once, since
+    # fixing x1..x7 where the ROP is a nonzero constant leaves c * S_3^2
+    n = 10
+    rop = evaluate(random_rof(random.Random(5), list(range(1, 8)), QQ), n)
+    s3 = P(n, {0b0110000000: 1, 0b1010000000: 1, 0b1100000000: 1})
+    p = rop.mul_disjoint(s3)
+
+    separable_tests = [0]
+    calls = []  # (input map, separable tests, sizes of the returned blocks)
+    real_separable, real_factor_blocks = recognize._separable, recognize._factor_blocks
+
+    def separable(*args):
+        separable_tests[0] += 1
+        return real_separable(*args)
+
+    def factor_blocks(coeffs, field):
+        before = separable_tests[0]
+        factors = real_factor_blocks(coeffs, field)
+        sizes = [reduce(or_, f, 0).bit_count() for f in factors]
+        calls.append((frozenset(coeffs.items()), separable_tests[0] - before, sizes))
+        return factors
+
+    monkeypatch.setattr(recognize, "_separable", separable)
+    monkeypatch.setattr(recognize, "_factor_blocks", factor_blocks)
+    assert is_rop(p) is None
+    assert calls
+    inputs = [key for key, _, _ in calls]
+    repeated = len(inputs) - len(set(inputs))
+    assert repeated == 0  # no shifted map factored twice
+    for _, tests, sizes in calls:
+        cross = sum(a * b for a, b in combinations(sizes, 2))
+        assert tests <= (sum(sizes) - 1) + cross
 
 
 def test_is_rop_triangle_is_not():

@@ -221,6 +221,23 @@ def test_random_rof_round_trip_and_var_containment():
         assert all(m < (1 << n) for m in p.coeffs)
 
 
+def test_deep_formula_walks():
+    # a left-deep chain of 2,000 add gates, deeper than the recursion limit
+    depth = 2000
+    text = "(add (1 0) " * depth + "(leaf (1 0) x1)" + "".join(
+        " (leaf (1 0) x%d))" % (k % 30 + 1) for k in range(depth)
+    )
+    t = parse_rof(text, QQ)
+    assert print_rof(t) == text
+    assert leaf_vars(t) == [1] + [k % 30 + 1 for k in range(depth)]
+    assert [v.kind for v in validate(t)] == ["duplicate_variable"] * 30
+    assert not is_multiplicative_structural(t)
+    p = evaluate(t)
+    assert p.n == 30 and p.coeff(0b1) == 68 and p.coeff(1 << 29) == 66
+    with pytest.raises(ParseError):
+        parse_rof(text[:-1], QQ)
+
+
 def test_relabel_variables():
     t = gate(MUL, leaf(1), gate(ADD, leaf(2), leaf(3)))
     swapped = relabel_variables(t, {2: 3, 3: 2})
