@@ -454,21 +454,45 @@ def sparse_str(p: SparsePoly) -> str:
 # -- the commutator ---------------------------------------------------------
 
 
+def _commutator_raw(
+    coeffs: dict, bi: int, bj: int, field: FieldDescriptor
+) -> Tuple[dict, dict]:
+    """(A*D - B*C, D) for a raw map p = A + B x_i + C x_j + D x_i x_j, where
+    bi and bj are the bits of x_i and x_j and A, B, C, D are free of both.
+
+    Both maps are keyed by packed exponents; A*D - B*C is canonical.  One
+    pass over p splits it into A, B, C and D.
+    """
+    a: dict = {}
+    b: dict = {}
+    c: dict = {}
+    d: dict = {}
+    parts = {0: a, bi: b, bj: c, bi | bj: d}
+    both = bi | bj
+    for m, v in coeffs.items():
+        k = m & both
+        parts[k][_spread(m ^ k)] = v
+    out = _mul_packed(a, d, field)
+    for k, v in _mul_packed(b, c, field).items():
+        s = out.get(k)
+        out[k] = -v if s is None else s - v
+    return field.canon(out), d
+
+
 def commutator(p: MultilinearPoly, i: int, j: int) -> SparsePoly:
     """The pairwise commutator of p between x_i and x_j.
 
-    (p|_{i=0,j=0})(p|_{i=1,j=1}) - (p|_{i=0,j=1})(p|_{i=1,j=0}), computed
-    exactly.  The result is generally not multilinear.
+    By definition (p|_{i=0,j=0})(p|_{i=1,j=1}) - (p|_{i=0,j=1})(p|_{i=1,j=0}).
+    Writing p = A + B x_i + C x_j + D x_i x_j with A, B, C, D free of x_i
+    and x_j, this expands to A*D - B*C, which is computed exactly from one
+    pass over p's coefficients.  The result is generally not multilinear.
     """
     if i == j:
         raise EqualIndices("commutator needs two distinct variables")
     p._check_index(i)
     p._check_index(j)
-    p00 = p.restrict(i, 0).restrict(j, 0)
-    p11 = p.restrict(i, 1).restrict(j, 1)
-    p01 = p.restrict(i, 0).restrict(j, 1)
-    p10 = p.restrict(i, 1).restrict(j, 0)
-    return p00.mul_general(p11) - p01.mul_general(p10)
+    comm, _ = _commutator_raw(p.coeffs, 1 << (i - 1), 1 << (j - 1), p.field)
+    return SparsePoly._trusted(p.n, p.field, comm)
 
 
 # -- named constructors ------------------------------------------------------

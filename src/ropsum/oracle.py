@@ -78,13 +78,6 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
     return MultilinearPoly._trusted(packed.n, field, coeffs)
 
 
-def _digits(value: int, p: int, count: int) -> List[int]:
-    out = [0] * count
-    for i in range(count):
-        value, out[i] = divmod(value, p)
-    return out
-
-
 def _undigits(digits: Sequence[int], p: int) -> int:
     value = 0
     for d in reversed(digits):
@@ -328,28 +321,16 @@ def closure_report(cls: RopClass) -> ClosureReport:
     """Verify the class is closed under every partial derivative and every
     restriction x_i := v; lists any violations (none are expected)."""
     p, n = cls.p, cls.n
-    size = 1 << n
     deriv_bad: List[Tuple[int, int]] = []
     restr_bad: List[Tuple[int, int, int]] = []
     for value in cls.members:
-        digits = _digits(value, p, size)
-        for i in range(n):
-            bit = 1 << i
-            deriv = [0] * size
-            for mask in range(size):
-                if mask & bit:
-                    deriv[mask ^ bit] = digits[mask]
-            if _undigits(deriv, p) not in cls:
-                deriv_bad.append((value, i + 1))
+        poly = unpack(PackedPoly(p, n, value))
+        for i in range(1, n + 1):
+            if pack(poly.partial(i)).value not in cls:
+                deriv_bad.append((value, i))
             for v in range(p):
-                restr = [0] * size
-                for mask in range(size):
-                    if mask & bit:
-                        restr[mask ^ bit] = (restr[mask ^ bit] + digits[mask] * v) % p
-                    else:
-                        restr[mask] = (restr[mask] + digits[mask]) % p
-                if _undigits(restr, p) not in cls:
-                    restr_bad.append((value, i + 1, v))
+                if pack(poly.restrict(i, v)).value not in cls:
+                    restr_bad.append((value, i, v))
     return ClosureReport(p, n, len(cls.members), deriv_bad, restr_bad)
 
 

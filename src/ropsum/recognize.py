@@ -4,13 +4,17 @@ The centerpiece is ``is_rop``: an exact, witness-producing recognizer for
 read-once polynomials over any supported field.  It recurses on the
 interaction graph (mixed-partial nonvanishing): a disconnected graph
 splits the polynomial additively; a connected one forces a top
-multiplication gate, whose constant shift is recovered from the exact
-identity (f - beta) * d_i d_j f = d_i f * d_j f and whose factors come
-from the maximal variable-disjoint factorization.  Each distinct beta is
-factored once per node, and the factorization's blocks come from
-union-find over the variable pairs that are not separable, so a pair
-already joined is never tested.  Both cuts are exact; a negative answer
-still costs the identity products on every edge of every node reached.
+multiplication gate.  One pair test serves both halves of that gate:
+writing f = A + B x_i + C x_j + D x_i x_j, the commutator A*D - B*C of
+x_i and x_j.  The gate's constant shift beta is recovered from an edge
+whose commutator is beta * D (the identity (f - beta) * d_i d_j f =
+d_i f * d_j f), and the factors of f - beta are the blocks of the pairs
+whose commutator is nonzero, each read off as a slice of f's monomials.
+Each distinct beta is factored once per node, and both the additive
+components and the factorization's blocks come from one union-find
+partition, so a pair already joined is never tested.  Both cuts are
+exact; a negative answer still costs one commutator per edge of every
+node reached.
 
 On top of that sit the certified decisions for sums of two read-once
 formulas on four variables: the restriction-linearity check (C1'), the
@@ -21,14 +25,14 @@ discriminants d_1, d_2, d_3 none of which has a square root.
 
 The recognizer works directly on a polynomial's raw coefficient map
 (mask -> Fraction, or int in [0, p)) with its field descriptor's
-arithmetic, and tests the identity and the separability of variable pairs
-with the packed-exponent product of :mod:`ropsum.mpoly`.
+arithmetic, and takes the commutator from :mod:`ropsum.mpoly`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import (
     CharacteristicTwo,
@@ -38,11 +42,9 @@ from .errors import (
 )
 from .mpoly import (
     MultilinearPoly,
+    _commutator_raw,
     _disjoint_product,
     _infer_field,
-    _mul_packed,
-    _spread,
-    _spread_keys,
     family4,
     linear_dependent,
 )
@@ -65,45 +67,6 @@ from .scalars import FieldDescriptor, FieldElem, sqrt_in_field
 # ---------------------------------------------------------------------------
 
 
-def _partial_raw(coeffs: Dict[int, object], bit: int) -> Dict[int, object]:
-    return {m ^ bit: c for m, c in coeffs.items() if m & bit}
-
-
-def _restrict_assign(
-    coeffs: Dict[int, object], wmask: int, ones: int, field: FieldDescriptor
-) -> Dict[int, object]:
-    """Set every variable in wmask to 0/1 per ``ones``; result drops wmask."""
-    out: Dict[int, object] = {}
-    zeros = wmask & ~ones
-    for m, c in coeffs.items():
-        if m & zeros:
-            continue
-        m2 = m & ~wmask
-        s = out.get(m2)
-        out[m2] = c if s is None else s + c
-    return field.canon(out)
-
-
-def _nonzero_point(coeffs: Dict[int, object], wmask: int, field: FieldDescriptor) -> int:
-    """A 0/1 assignment (as a ones-mask) of the wmask variables keeping the
-    polynomial nonzero; greedy per variable, trying 0 before 1."""
-    ones = 0
-    cur = coeffs
-    m = wmask
-    while m:
-        bit = m & -m
-        m ^= bit
-        at0 = _restrict_assign(cur, bit, 0, field)
-        if at0:
-            cur = at0
-        else:
-            ones |= bit
-            cur = _restrict_assign(cur, bit, bit, field)
-    if not cur:
-        raise RopsumError("internal: no nonvanishing 0/1 point on a nonzero polynomial")
-    return ones
-
-
 def _bits(mask: int) -> List[int]:
     out = []
     i = 0
@@ -115,109 +78,79 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-def _components(adj: Dict[int, Set[int]]) -> List[int]:
-    """Connected components of a graph on bit-singleton nodes, each returned
-    as a bit mask, ordered by lowest member bit."""
-    seen: Set[int] = set()
-    comps = []
-    for node in sorted(adj):
-        if node in seen:
-            continue
-        stack = [node]
-        comp = 0
-        while stack:
-            v = stack.pop()
-            if v in seen:
+def _partition(bits: List[int], linked: Callable[[int, int], bool]) -> List[int]:
+    """The connected components of the graph on the ascending variable bits
+    ``bits`` whose edges are the pairs with linked(bi, bj), each as a bit
+    mask, ordered by lowest variable.
+
+    Union-find over the pairs in order: a pair already in one component is
+    not tested, and a linked pair merges its two components.  Skipped
+    pairs lie inside one component, so the components are those of testing
+    every pair.
+    """
+    block = {b: b for b in bits}  # variable bit -> mask of its current block
+    for i in range(len(bits)):
+        for j in range(i + 1, len(bits)):
+            bi, bj = bits[i], bits[j]
+            if block[bi] & bj or not linked(bi, bj):
                 continue
-            seen.add(v)
-            comp |= v
-            stack.extend(adj[v] - seen)
-        comps.append(comp)
-    return comps
+            merged = block[bi] | block[bj]
+            for b in _bits(merged):
+                block[b] = merged
+    return [block[b] for b in bits if block[b] & -block[b] == b]
 
 
-def _interaction_adj(coeffs: Dict[int, object]) -> Dict[int, Set[int]]:
-    """Adjacency of the mixed-partial graph: since stored coefficients are
-    nonzero, d_i d_j p != 0 exactly when some monomial contains both."""
-    vmask = 0
+def _edges(coeffs: Dict[int, object]) -> Set[Tuple[int, int]]:
+    """The pairs (bi, bj), bi < bj, of variables sharing a monomial: since
+    stored coefficients are nonzero, exactly the edges d_i d_j p != 0 of
+    the interaction graph."""
+    edges: Set[Tuple[int, int]] = set()
     for m in coeffs:
-        vmask |= m
-    adj: Dict[int, Set[int]] = {b: set() for b in _bits(vmask)}
-    for m in coeffs:
-        bs = _bits(m)
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                adj[bs[i]].add(bs[j])
-                adj[bs[j]].add(bs[i])
-    return adj
+        edges.update(combinations(_bits(m), 2))
+    return edges
 
 
 def _separable(
     coeffs: Dict[int, object], bi: int, bj: int, field: FieldDescriptor
 ) -> bool:
     """Whether x_i and x_j can end up in different variable-disjoint factors:
-    exact test A*D == B*C on the decomposition p = A + B x_i + C x_j + D x_i x_j."""
-    a: Dict[int, object] = {}
-    b: Dict[int, object] = {}
-    c: Dict[int, object] = {}
-    d: Dict[int, object] = {}
-    both = bi | bj
-    for m, v in coeffs.items():
-        k = m & both
-        if k == 0:
-            a[_spread(m)] = v
-        elif k == bi:
-            b[_spread(m ^ bi)] = v
-        elif k == bj:
-            c[_spread(m ^ bj)] = v
-        else:
-            d[_spread(m ^ both)] = v
-    return _mul_packed(a, d, field) == _mul_packed(b, c, field)
+    the commutator A*D - B*C of p = A + B x_i + C x_j + D x_i x_j is zero."""
+    return not _commutator_raw(coeffs, bi, bj, field)[0]
 
 
 def _factor_blocks(
     coeffs: Dict[int, object], field: FieldDescriptor
 ) -> List[Dict[int, object]]:
-    """Maximal variable-disjoint factorization of a nonconstant map; the
-    returned factors multiply back to the input exactly (asserted).
+    """Maximal variable-disjoint factorization of a nonconstant map, ordered
+    by lowest variable; the returned factors multiply back to the input
+    exactly (asserted).
 
-    The blocks are the connected components of "not separable", found by
-    union-find: a pair already in one block is not tested, and a pair that
-    is not separable merges its two blocks.  Skipped pairs lie inside one
-    component, so the blocks are those of the all-pairs test, ordered by
-    lowest variable.
+    The blocks are the connected components of "not separable".  For a
+    monomial m0 of f with coefficient c0, the monomials of f that agree
+    with m0 outside a block B_a, keyed by their part inside B_a, are that
+    block's factor F_a times one nonzero constant; the k slices multiply to
+    c0^(k-1) * f, so all but the last are divided by c0.
     """
     vmask = 0
     for m in coeffs:
         vmask |= m
-    bits = _bits(vmask)
-    block = {b: b for b in bits}  # variable bit -> mask of its current block
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            bi, bj = bits[i], bits[j]
-            if block[bi] & bj or _separable(coeffs, bi, bj, field):
-                continue
-            merged = block[bi] | block[bj]
-            for b in _bits(merged):
-                block[b] = merged
-    blocks = [block[b] for b in bits if block[b] & -block[b] == b]
+    blocks = _partition(
+        _bits(vmask), lambda bi, bj: not _separable(coeffs, bi, bj, field)
+    )
     if len(blocks) == 1:
         return [dict(coeffs)]
 
-    factors: List[Dict[int, object]] = []
-    rest = coeffs
-    for block in blocks[:-1]:
-        restmask = 0
-        for m in rest:
-            restmask |= m
-        wmask = restmask & ~block
-        ones_w = _nonzero_point(rest, wmask, field)
-        f_tilde = _restrict_assign(rest, wmask, ones_w, field)
-        ones_b = _nonzero_point(f_tilde, block, field)
-        val = _restrict_assign(f_tilde, block, ones_b, field)[0]
-        factors.append({m: field.div(c, val) for m, c in f_tilde.items()})
-        rest = _restrict_assign(rest, block, ones_b, field)
-    factors.append(rest)
+    m0 = min(coeffs)
+    c0 = coeffs[m0]
+    last = blocks[-1]
+    factors = [
+        {
+            m & block: c if block == last else field.div(c, c0)
+            for m, c in coeffs.items()
+            if m & ~block == m0 & ~block
+        }
+        for block in blocks
+    ]
 
     product = factors[0]
     for f in factors[1:]:
@@ -230,13 +163,6 @@ def _factor_blocks(
 # ---------------------------------------------------------------------------
 # read-once recognition
 # ---------------------------------------------------------------------------
-
-
-def _min_var_bit(coeffs: Dict[int, object]) -> int:
-    vmask = 0
-    for m in coeffs:
-        vmask |= m
-    return vmask & -vmask
 
 
 def _is_rop_raw(
@@ -263,12 +189,12 @@ def _is_rop_raw(
         beta = field.elem(coeffs.get(0, 0))
         result = Leaf(var, alpha, beta)
     else:
-        adj = _interaction_adj(coeffs)
-        comps = _components(adj)
+        edges = _edges(coeffs)
+        comps = _partition(_bits(vmask), lambda bi, bj: (bi, bj) in edges)
         if len(comps) > 1:
             result = _additive_split(coeffs, comps, field, cache)
         else:
-            result = _multiplicative_split(coeffs, adj, field, cache)
+            result = _multiplicative_split(coeffs, edges, field, cache)
 
     cache[key] = result
     return result
@@ -304,47 +230,27 @@ def _additive_split(coeffs, comps, field, cache) -> Optional[Rof]:
     return tree
 
 
-def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
+def _multiplicative_split(coeffs, edges, field, cache) -> Optional[Rof]:
     """A top multiplication gate for a polynomial with a connected
     interaction graph, or None if it has none.
 
-    Each edge {i, j} of the graph that passes the identity yields a shift
-    beta.  What follows depends on beta alone: f - beta is factored into
-    variable-disjoint blocks and each block is recognized.  So each
-    distinct beta is factored once at this node; an edge repeating a beta
-    already tried is skipped, since it would fail the same way.
+    Each edge {i, j} of the graph that passes the identity
+    (f - beta) * d_i d_j f = d_i f * d_j f yields a shift beta.  Writing
+    f = A + B x_i + C x_j + D x_i x_j, both sides expand so that the
+    identity reads A*D - B*C = beta * D: the commutator of the pair is a
+    constant multiple of D.  What follows depends on beta alone: f - beta
+    is factored into variable-disjoint blocks and each block is recognized.
+    So each distinct beta is factored once at this node; an edge repeating
+    a beta already tried is skipped, since it would fail the same way.
     """
-    edges = sorted(
-        (bi.bit_length(), bj.bit_length())
-        for bi in adj
-        for bj in adj[bi]
-        if bi < bj
-    )
-    packed = _spread_keys(coeffs)
     tried = set()
-    for i, j in edges:
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        di = _partial_raw(coeffs, bi)
-        dj = _partial_raw(coeffs, bj)
-        dij = _partial_raw(di, bj)
-        # diff = f * dij - di * dj must be betahat * dij for a constant betahat
-        diff = _mul_packed(packed, _spread_keys(dij), field)
-        for k, c in _mul_packed(_spread_keys(di), _spread_keys(dj), field).items():
-            s = diff.get(k)
-            diff[k] = -c if s is None else s - c
-        diff = field.canon(diff)
-        if not diff:
-            betahat = 0
-        else:
-            k0 = min(dij)
-            num = diff.get(_spread(k0))
-            if num is None:
-                continue
-            betahat = field.div(num, dij[k0])
-            if len(diff) != len(dij) or any(
-                diff.get(_spread(k)) != field.mul(betahat, c) for k, c in dij.items()
-            ):
-                continue
+    for bi, bj in sorted(edges):
+        comm, d = _commutator_raw(coeffs, bi, bj, field)
+        k0 = next(iter(d))  # d is nonzero on an edge
+        betahat = field.div(comm.get(k0, 0), d[k0])
+        scaled = {k: field.mul(betahat, c) for k, c in d.items()} if betahat else {}
+        if comm != scaled:
+            continue
         if betahat in tried:
             continue
         tried.add(betahat)
@@ -355,7 +261,6 @@ def _multiplicative_split(coeffs, adj, field, cache) -> Optional[Rof]:
         factors = _factor_blocks(shifted, field)
         if len(factors) < 2:
             continue
-        factors.sort(key=_min_var_bit)
         witnesses = []
         for f in factors:
             w = _is_rop_raw(f, field, cache)
@@ -394,10 +299,12 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
 
 def interaction_graph(p: MultilinearPoly) -> Dict[int, Set[int]]:
     """Graph on Var(p) with an edge {i, j} iff d_i d_j p != 0."""
-    adj = _interaction_adj(p.coeffs)
-    return {
-        b.bit_length(): {o.bit_length() for o in nbrs} for b, nbrs in adj.items()
-    }
+    graph: Dict[int, Set[int]] = {v: set() for v in p.variables()}
+    for bi, bj in _edges(p.coeffs):
+        i, j = bi.bit_length(), bj.bit_length()
+        graph[i].add(j)
+        graph[j].add(i)
+    return graph
 
 
 def disjoint_factorization(p: MultilinearPoly) -> List[MultilinearPoly]:

@@ -26,7 +26,7 @@ from .errors import (
     TooFewVariables,
     TooManyVariables,
 )
-from .mpoly import MultilinearPoly
+from .mpoly import MAX_VARIABLES, MultilinearPoly
 from .scalars import FieldDescriptor, FieldElem, format_scalar, parse_scalar
 
 ADD = "add"
@@ -110,6 +110,20 @@ def validate(rof: Rof) -> List[Violation]:
     return violations
 
 
+def _post_order(rof: Rof) -> List[Rof]:
+    """Every node after both its children, left subtree first."""
+    # a pre-order that visits the right child first, reversed
+    order: List[Rof] = []
+    stack = [rof]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Gate):
+            stack += (node.left, node.right)
+    order.reverse()
+    return order
+
+
 def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     """The multilinear polynomial the formula computes.
 
@@ -118,18 +132,11 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     field = field_of(rof)
     if n is None:
         n = max(leaf_vars(rof))
+    if n > MAX_VARIABLES:
+        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
 
-    # a pre-order that visits the right child first, reversed, lists every
-    # node after both its children, left subtree first
-    order: List[Rof] = []
-    stack = [rof]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, Gate):
-            stack += (node.left, node.right)
     values: List[MultilinearPoly] = []
-    for node in reversed(order):
+    for node in _post_order(rof):
         if isinstance(node, Leaf):
             if not (1 <= node.var <= n):
                 raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
@@ -152,15 +159,15 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
 def relabel_variables(rof: Rof, mapping: Dict[int, int]) -> Rof:
     """A copy of the tree with leaf variables renamed through ``mapping``;
     variables absent from the mapping keep their index."""
-    if isinstance(rof, Leaf):
-        return Leaf(mapping.get(rof.var, rof.var), rof.alpha, rof.beta)
-    return Gate(
-        rof.op,
-        rof.alpha,
-        rof.beta,
-        relabel_variables(rof.left, mapping),
-        relabel_variables(rof.right, mapping),
-    )
+    done: List[Rof] = []
+    for node in _post_order(rof):
+        if isinstance(node, Leaf):
+            done.append(Leaf(mapping.get(node.var, node.var), node.alpha, node.beta))
+        else:
+            right = done.pop()
+            left = done.pop()
+            done.append(Gate(node.op, node.alpha, node.beta, left, right))
+    return done[0]
 
 
 def is_multiplicative_structural(rof: Rof) -> bool:
@@ -208,22 +215,15 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     if any(node.alpha.is_zero() for node in _nodes(rof)):
         raise DegenerateLeaf("zero scale collapses a subtree to a constant")
 
-    def find(node: Rof) -> Optional[Tuple[Leaf, Rof]]:
-        """(leaf of x_i, sibling subtree), or None if x_i is not below."""
-        if isinstance(node, Leaf):
-            return None
-        for child, sibling in ((node.left, node.right), (node.right, node.left)):
-            if isinstance(child, Leaf) and child.var == i:
-                return child, sibling
-            if isinstance(child, Gate):
-                found = find(child)
-                if found is not None:
-                    return found
-        return None
-
-    found = find(rof)
-    assert found is not None  # >= 2 variables, so the leaf has a parent
-    leaf, sibling = found
+    # the formula is read-once, so x_i labels exactly one leaf, and with
+    # >= 2 variables that leaf has a parent
+    leaf, sibling = next(
+        (child, sibling)
+        for node in _nodes(rof)
+        if isinstance(node, Gate)
+        for child, sibling in ((node.left, node.right), (node.right, node.left))
+        if isinstance(child, Leaf) and child.var == i
+    )
     gamma = -leaf.beta / leaf.alpha
     j = min(leaf_vars(sibling))
     # the defining identity is checked exactly, not sampled

@@ -270,6 +270,14 @@ def test_deep_formula_eval_and_verify(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"equal": False}
 
 
+def test_exit_code_eval_beyond_variable_cap(capsys):
+    # x31 exceeds the 30-variable cap, as it does for parse and verify
+    code, out, err = run(capsys, "eval", "(leaf (1 0) x31)")
+    assert code == 3 and out == "" and "variable count 31" in err
+    code, _, err = run(capsys, "parse", "x31")
+    assert code == 3 and "variable count 31" in err
+
+
 def test_exit_code_verify_malformed_json(capsys):
     code, _, err = run(capsys, "verify", "--target", "x1", "[1,2")
     assert code == 2 and "parse error" in err

@@ -129,6 +129,24 @@ def test_commutator_divisibility_shape_vanishing():
         assert commutator(l.mul_disjoint(m), 1, 2).is_zero()
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(3), prime_field(101)], ids=str)
+def test_commutator_matches_definition(field):
+    # (p|_{i=0,j=0})(p|_{i=1,j=1}) - (p|_{i=0,j=1})(p|_{i=1,j=0}), every pair
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        p = random_poly(rng, n, field, density=rng.choice([0.3, 0.6, 0.9]))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                at = {
+                    (a, b): p.restrict(i, a).restrict(j, b) for a in (0, 1) for b in (0, 1)
+                }
+                expected = at[0, 0].mul_general(at[1, 1]) - at[0, 1].mul_general(at[1, 0])
+                assert commutator(p, i, j) == expected
+
+
 def test_elementary_symmetric_shape():
     s = elementary_symmetric(4, 2)
     assert len(s.coeffs) == 6

@@ -5,6 +5,7 @@ import pytest
 
 from ropsum import (
     QQ,
+    IndexOutOfRange,
     MultilinearPoly,
     NotMultiplicative,
     ParseError,
@@ -234,8 +235,22 @@ def test_deep_formula_walks():
     assert not is_multiplicative_structural(t)
     p = evaluate(t)
     assert p.n == 30 and p.coeff(0b1) == 68 and p.coeff(1 << 29) == 66
+    reversed_vars = {v: 31 - v for v in range(1, 31)}
+    r = relabel_variables(t, reversed_vars)
+    assert leaf_vars(r) == [reversed_vars[v] for v in leaf_vars(t)]
+    assert evaluate(r).coeff(1 << 29) == 68
     with pytest.raises(ParseError):
         parse_rof(text[:-1], QQ)
+    # a left-deep chain of 2,000 mul gates on distinct variables: the leaf
+    # of x1 is found, then evaluation refuses 2,001 variables
+    chain = parse_rof(
+        "(mul (1 0) " * depth
+        + "(leaf (1 0) x1)"
+        + "".join(" (leaf (1 0) x%d))" % (k + 2) for k in range(depth)),
+        QQ,
+    )
+    with pytest.raises(IndexOutOfRange):
+        mrops_witness(chain, 1)
 
 
 def test_relabel_variables():
