@@ -190,6 +190,21 @@ def test_cmd_oracle_min_k_and_cache(capsys, tmp_path):
     assert code == 3
 
 
+def test_cmd_oracle_min_k_odd_prime_cache_round_trip(capsys, tmp_path):
+    # x1*(x2 + x3) + (x2*x3 + x4) over F_3: a sum of two read-once formulas
+    # that is not read-once itself
+    cache = tmp_path / "c34.ropc"
+    target = "x1*x2 + x1*x3 + x2*x3 + x4"
+    query = ("oracle", "--p", "3", "--n", "4", "--min-k", target, "--cache", str(cache))
+    code, out, _ = run(capsys, *query)
+    assert code == 0 and json.loads(out) == {"min_k": 2}
+    assert cache.exists()
+    code, out, _ = run(capsys, *query)
+    assert code == 0 and json.loads(out) == {"min_k": 2}
+    code, out, _ = run(capsys, *query, "--kmax", "1")
+    assert code == 0 and json.loads(out) == {"min_k": None}
+
+
 def test_cmd_oracle_closure(capsys):
     code, out, _ = run(
         capsys, "oracle", "--p", "2", "--n", "3", "--closure-report"

@@ -188,3 +188,139 @@ def test_save_class_failure_keeps_the_old_file(tmp_path):
         save_class(RopClass(2, 2, (0, 1, -1)), str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["class.ropc"]
+
+
+# -- sumset queries against a full-scan reference ------------------------------
+
+
+def _reference_sub(t, s, p):
+    """Digitwise t - s mod p, one base-p digit at a time."""
+    if p == 2:
+        return t ^ s
+    out, place = 0, 1
+    while t or s:
+        out += (t % p - s % p) % p * place
+        t, s, place = t // p, s // p, place * p
+    return out
+
+
+def _reference_min_k(t, members, p, kmax, planted=None):
+    """min_k by full scans: t is in kS when t - s is in (k-1)S for some
+    member s.  A target built as a sum of ``planted`` members is in that
+    sumset, so that level needs no scan."""
+    mset = frozenset(members)
+
+    def reach(t, k):
+        if k == 1:
+            return t in mset
+        return any(reach(_reference_sub(t, s, p), k - 1) for s in members)
+
+    for k in range(1, kmax + 1):
+        if k == planted or reach(t, k):
+            return k
+    return None
+
+
+def _planted(rng, members, p, count):
+    """A sum of ``count`` members drawn with repetition."""
+    value = 0
+    for _ in range(count):
+        # value + s, as value - (0 - s)
+        value = _reference_sub(value, _reference_sub(0, rng.choice(members), p), p)
+    return value
+
+
+@pytest.fixture(scope="module")
+def classes():
+    cache = {}
+
+    def get(p, n):
+        if (p, n) not in cache:
+            cache[(p, n)] = enumerate_rops(p, n)
+        return cache[(p, n)]
+
+    return get
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_min_k_matches_reference_on_every_target(classes, p, n):
+    cls = classes(p, n)
+    for value in range(p ** (1 << n)):
+        expected = _reference_min_k(value, cls.members, p, 3)
+        assert min_k(PackedPoly(p, n, value), cls, 3) == expected, value
+
+
+# (p, n, uniform targets, kmax for them, planted 2-sums, planted 3-sums).
+# A uniform target that is not a 2-sum costs the reference a quadratic scan
+# at k=3, so the larger classes ask uniform targets only up to k=2.
+SAMPLED_QUERIES = [
+    (2, 4, 40, 3, 10, 10),
+    (2, 5, 12, 2, 4, 4),
+    (3, 4, 4, 2, 3, 3),
+    (5, 3, 4, 2, 3, 3),
+]
+
+
+@pytest.mark.parametrize("p, n, uniform, kmax, twos, threes", SAMPLED_QUERIES)
+def test_min_k_matches_reference_on_sampled_targets(
+    classes, p, n, uniform, kmax, twos, threes
+):
+    cls = classes(p, n)
+    rng = random.Random(100 * p + n)
+    queries = [(rng.randrange(p ** (1 << n)), kmax, None) for _ in range(uniform)]
+    queries += [(_planted(rng, cls.members, p, 2), 3, 2) for _ in range(twos)]
+    queries += [(_planted(rng, cls.members, p, 3), 3, 3) for _ in range(threes)]
+    for value, k, planted in queries:
+        expected = _reference_min_k(value, cls.members, p, k, planted)
+        assert min_k(PackedPoly(p, n, value), cls, k) == expected, value
+
+
+@pytest.mark.parametrize(
+    "p, n, size", [(2, 3, 12), (2, 4, 60), (3, 2, 12), (3, 3, 40), (5, 2, 20)]
+)
+def test_min_k_assumes_no_closure_or_order(p, n, size):
+    # a shuffled random subset of the universe is no read-once class: it is
+    # not closed under the affine maps and its members are not sorted; it
+    # is sparse enough that every answer from 1 to None occurs
+    rng = random.Random(size)
+    universe = p ** (1 << n)
+    members = list(range(p)) + rng.sample(range(p, universe), size - p)
+    rng.shuffle(members)
+    cls = RopClass(p, n, tuple(members))
+    for _ in range(30):
+        if rng.random() < 0.5:
+            value, planted = rng.randrange(universe), None
+        else:
+            planted = rng.choice((2, 3))
+            value = _planted(rng, members, p, planted)
+        expected = _reference_min_k(value, members, p, 3, planted)
+        assert min_k(PackedPoly(p, n, value), cls, 3) == expected, value
+
+
+class _CountingSet:
+    """A member set that counts the membership tests made on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.probes = 0
+
+    def __contains__(self, value):
+        self.probes += 1
+        return value in self.inner
+
+
+def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
+    cls = classes(2, 5)
+    counting = _CountingSet(cls._member_set)
+    cls._member_set = counting
+    rng = random.Random(52)
+    negatives = 0
+    try:
+        for _ in range(40):
+            counting.probes = 0
+            if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
+                negatives += 1
+                assert counting.probes <= len(cls) // 10
+    finally:
+        cls._member_set = counting.inner
+    assert negatives >= 20
