@@ -27,8 +27,14 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import ParameterMismatch, ParseError, PreconditionError, PreconditionViolated
-from .mpoly import MultilinearPoly, commutator, format_poly, sparse_str
+from .errors import (
+    IndexOutOfRange,
+    ParameterMismatch,
+    ParseError,
+    PreconditionError,
+    PreconditionViolated,
+)
+from .mpoly import MAX_VARIABLES, MultilinearPoly, commutator, format_poly, sparse_str
 from .oracle import (
     RopClass,
     closure_report,
@@ -84,6 +90,10 @@ def parse_poly_text(
                 var = int(m.group(1))
                 if var < 1:
                     raise ParseError("variable index must be >= 1 in %r" % factor)
+                if var > MAX_VARIABLES:  # before 1 << (var - 1) is built
+                    raise IndexOutOfRange(
+                        "variable count %d outside 0..%d" % (var, MAX_VARIABLES)
+                    )
                 bit = 1 << (var - 1)
                 if mask & bit:
                     raise ParseError("variable x%d repeats within term %r" % (var, chunk))

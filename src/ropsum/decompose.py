@@ -17,7 +17,7 @@ against its target before being handed back:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import CharacteristicTwo, PreconditionViolated, RopsumError
 from .mpoly import MultilinearPoly, _infer_field, elementary_symmetric, m_poly
@@ -28,7 +28,6 @@ from .rof import (
     Leaf,
     Rof,
     RopSum,
-    relabel_variables,
     sum_evaluate,
     verify_against,
 )
@@ -47,29 +46,34 @@ def _mono_chain(variables: List[int], alpha: FieldElem, beta: FieldElem) -> Rof:
     return Gate(MUL, alpha, beta, Leaf(variables[0], one, zero), tree)
 
 
-def _bivariate_rof(p: MultilinearPoly, u: int, v: int) -> Rof:
-    """A formula for any polynomial supported on {x_u, x_v}."""
-    field = p.field
-    one = field.one()
-    bu, bv = 1 << (u - 1), 1 << (v - 1)
-    if p.var_mask() & ~(bu | bv):
-        raise PreconditionViolated("polynomial is not supported on {x%d, x%d}" % (u, v))
-    a = p.coeff(0)
-    b = p.coeff(bu)
-    c = p.coeff(bv)
-    d = p.coeff(bu | bv)
+def _bivariate_rof(
+    u: int, v: int, a: FieldElem, b: FieldElem, c: FieldElem, d: FieldElem
+) -> Optional[Rof]:
+    """A formula for a + b*x_u + c*x_v + d*x_u*x_v; None when all four are zero."""
+    field = a.field
+    one, zero = field.one(), field.zero()
     if not d.is_zero():
         # d*(x_u + c/d)(x_v + b/d) + (a - bc/d)
         return Gate(
             MUL, d, a - b * c / d, Leaf(u, one, c / d), Leaf(v, one, b / d)
         )
     if not b.is_zero() and not c.is_zero():
-        return Gate(ADD, one, a, Leaf(u, b, field.zero()), Leaf(v, c, field.zero()))
+        return Gate(ADD, one, a, Leaf(u, b, zero), Leaf(v, c, zero))
     if not b.is_zero():
         return Leaf(u, b, a)
     if not c.is_zero():
         return Leaf(v, c, a)
-    return Leaf(u, field.zero(), a)
+    if not a.is_zero():
+        return Leaf(u, zero, a)
+    return None
+
+
+def _times_monomial(variables: List[int], rof: Optional[Rof]) -> Optional[Rof]:
+    """x_{v1} * ... * x_{vk} * rof; None for a missing rof."""
+    if rof is None:
+        return None
+    one, zero = rof.alpha.field.one(), rof.alpha.field.zero()
+    return Gate(MUL, one, zero, _mono_chain(variables, one, zero), rof)
 
 
 def _with_beta(rof: Rof, c: FieldElem) -> Rof:
@@ -118,13 +122,12 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
                 _mono_chain(vars_of(s_only), a, zero),
                 _mono_chain(vars_of(t_only), b, zero),
             )
-        elif s_only:
-            # t is a subset of s: a x_s + b x_t = x_t (a x_{s-t} + b)
-            inner = _mono_chain(vars_of(s_only), a, b)
         else:
+            # masks are sorted, so s < t and t is never a subset of s:
+            # a x_s + b x_t = x_s (b x_{t-s} + a)
             inner = _mono_chain(vars_of(t_only), b, a)
         if common:
-            inner = Gate(MUL, one, zero, _mono_chain(vars_of(common), one, zero), inner)
+            inner = _times_monomial(vars_of(common), inner)
         summands.append(inner)
 
     if len(monomials) % 2:
@@ -140,29 +143,18 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 # ---------------------------------------------------------------------------
 
 
-def _linear_rof(p: MultilinearPoly) -> Optional[Rof]:
-    """A formula for a degree-<=1 polynomial; None for the zero polynomial."""
-    if p.is_zero():
-        return None
-    field = p.field
+def _linear_rof(const: FieldElem, terms: List[Tuple[int, FieldElem]]) -> Optional[Rof]:
+    """A formula for const + sum of c*x_v over the (v, c) pairs, in order;
+    None when everything is zero."""
+    field = const.field
     one, zero = field.one(), field.zero()
-    const = p.coeff(0)
-    terms = [(m.bit_length(), p.coeff(m)) for m in sorted(p.coeffs) if m]
+    terms = [(v, c) for v, c in terms if not c.is_zero()]
     if not terms:
-        return Leaf(1, zero, const)
+        return None if const.is_zero() else Leaf(1, zero, const)
     tree: Rof = Leaf(terms[0][0], terms[0][1], zero)
     for v, c in terms[1:]:
         tree = Gate(ADD, one, zero, tree, Leaf(v, c, zero))
     return _with_beta(tree, const)
-
-
-def _sub_poly(p: MultilinearPoly, keep_mask: int, drop_constant: bool = False) -> MultilinearPoly:
-    coeffs = {
-        m: c
-        for m, c in p.coeffs.items()
-        if (m & ~keep_mask) == 0 and not (drop_constant and m == 0)
-    }
-    return MultilinearPoly._trusted(p.n, p.field, coeffs)
 
 
 _QUAD_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -170,150 +162,57 @@ _QUAD_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 def _generic_base4(p: MultilinearPoly) -> List[Rof]:
     """At most three summands for a polynomial on x1..x4."""
-    field = p.field
-    one, zero = field.one(), field.zero()
-
-    def mask(*idxs: int) -> int:
-        out = 0
-        for i in idxs:
-            out |= 1 << (i - 1)
-        return out
-
+    one, zero = p.field.one(), p.field.zero()
     pivot = next(
-        ((i, j) for i, j in _QUAD_PAIRS if not p.coeff(mask(i, j)).is_zero()), None
+        ((i, j) for i, j in _QUAD_PAIRS if (1 << (i - 1) | 1 << (j - 1)) in p.coeffs),
+        None,
     )
+    # Position q of the construction stands for the variable x[q]; a pivot
+    # quadratic x_i x_j sits at positions (1, 3).
+    i, j = pivot or (1, 3)
+    k, l = sorted({1, 2, 3, 4} - {i, j})
+    x = {1: i, 2: k, 3: j, 4: l}
+
+    def c(*positions: int) -> FieldElem:
+        return p.coeff(sum(1 << (x[q] - 1) for q in positions))
 
     if pivot is None:
-        # No quadratic terms: linear part, a 3-4 heavy part, a 1-2 heavy part.
-        summands: List[Rof] = []
-        linear = _linear_rof(
-            MultilinearPoly._trusted(
-                p.n, field, {m: c for m, c in p.coeffs.items() if m.bit_count() <= 1}
-            )
-        )
-        inner2 = MultilinearPoly(
-            p.n,
-            field,
-            {
-                mask(3): p.coeff(mask(1, 2, 3)),
-                mask(4): p.coeff(mask(1, 2, 4)),
-            },
-        )
-        inner3 = MultilinearPoly(
-            p.n,
-            field,
-            {
-                mask(1): p.coeff(mask(1, 3, 4)),
-                mask(2): p.coeff(mask(2, 3, 4)),
-                mask(1, 2): p.coeff(mask(1, 2, 3, 4)),
-            },
-        )
-        if linear is not None:
-            summands.append(linear)
-        if not inner2.is_zero():
-            summands.append(
-                Gate(
-                    MUL,
-                    one,
-                    zero,
-                    _mono_chain([1, 2], one, zero),
-                    _bivariate_rof(inner2, 3, 4),
-                )
-            )
-        if not inner3.is_zero():
-            summands.append(
-                Gate(
-                    MUL,
-                    one,
-                    zero,
-                    _mono_chain([3, 4], one, zero),
-                    _bivariate_rof(inner3, 1, 2),
-                )
-            )
-        return summands
+        # No quadratic terms: the linear part, then x1x2 and x3x4 times
+        # their cofactors among the cubic and quartic terms.
+        cof12 = _bivariate_rof(3, 4, zero, c(1, 2, 3), c(1, 2, 4), zero)
+        cof34 = _bivariate_rof(1, 2, zero, c(1, 3, 4), c(2, 3, 4), c(1, 2, 3, 4))
+        parts = [
+            _linear_rof(c(), [(v, c(v)) for v in (1, 2, 3, 4)]),
+            _times_monomial([1, 2], cof12),
+            _times_monomial([3, 4], cof34),
+        ]
+        return [s for s in parts if s is not None]
 
-    # Normalize the pivot quadratic onto positions (1, 3).
-    i, j = pivot
-    others = sorted(set((1, 2, 3, 4)) - {i, j})
-    perm = {i: 1, j: 3, others[0]: 2, others[1]: 4}
-    inverse = {new: old for old, new in perm.items()}
-    q = _permute_vars(p, perm)
-
-    def qc(*idxs: int) -> FieldElem:
-        return q.coeff(mask(*idxs))
-
-    a13 = qc(1, 3)
-    summands = []
-    # Everything supported inside {1,2} or {3,4}.
-    low = _sub_poly(q, mask(1, 2))
-    high = _sub_poly(q, mask(3, 4), drop_constant=True)
-    if not low.is_zero() and not high.is_zero():
-        summands.append(
-            Gate(
-                ADD,
-                one,
-                zero,
-                _bivariate_rof(low, 1, 2),
-                _bivariate_rof(high, 3, 4),
-            )
-        )
-    elif not low.is_zero():
-        summands.append(_bivariate_rof(low, 1, 2))
-    elif not high.is_zero():
-        summands.append(_bivariate_rof(high, 3, 4))
-
+    a13 = c(1, 3)
+    # Everything supported inside positions {1,2} or {3,4}.
+    low = _bivariate_rof(x[1], x[2], c(), c(1), c(2), c(1, 2))
+    high = _bivariate_rof(x[3], x[4], zero, c(3), c(4), c(3, 4))
+    block = low or high
+    if low is not None and high is not None:
+        block = Gate(ADD, one, zero, low, high)
     # The pivot product: (a13 x1 + a23 x2 + a123 x1x2)(x3 + (a14/a13) x4 + (a134/a13) x3x4).
-    left = MultilinearPoly(
-        p.n,
-        field,
-        {mask(1): a13, mask(2): qc(2, 3), mask(1, 2): qc(1, 2, 3)},
-    )
-    right = MultilinearPoly(
-        p.n,
-        field,
-        {
-            mask(3): one,
-            mask(4): qc(1, 4) / a13,
-            mask(3, 4): qc(1, 3, 4) / a13,
-        },
-    )
-    summands.append(
-        Gate(MUL, one, zero, _bivariate_rof(left, 1, 2), _bivariate_rof(right, 3, 4))
-    )
-
+    left = _bivariate_rof(x[1], x[2], zero, a13, c(2, 3), c(1, 2, 3))
+    right = _bivariate_rof(x[3], x[4], zero, one, c(1, 4) / a13, c(1, 3, 4) / a13)
     # The correction on x2 x4 times a bivariate in (x1, x3).
-    corr = MultilinearPoly(
-        p.n,
-        field,
-        {
-            0: qc(2, 4) - qc(1, 4) * qc(2, 3) / a13,
-            mask(1): qc(1, 2, 4) - qc(1, 4) * qc(1, 2, 3) / a13,
-            mask(3): qc(2, 3, 4) - qc(1, 3, 4) * qc(2, 3) / a13,
-            mask(1, 3): qc(1, 2, 3, 4) - qc(1, 3, 4) * qc(1, 2, 3) / a13,
-        },
+    corr = _bivariate_rof(
+        x[1],
+        x[3],
+        c(2, 4) - c(1, 4) * c(2, 3) / a13,
+        c(1, 2, 4) - c(1, 4) * c(1, 2, 3) / a13,
+        c(2, 3, 4) - c(1, 3, 4) * c(2, 3) / a13,
+        c(1, 2, 3, 4) - c(1, 3, 4) * c(1, 2, 3) / a13,
     )
-    if not corr.is_zero():
-        summands.append(
-            Gate(
-                MUL,
-                one,
-                zero,
-                _mono_chain([2, 4], one, zero),
-                _bivariate_rof(corr, 1, 3),
-            )
-        )
-    return [relabel_variables(s, inverse) for s in summands]
-
-
-def _permute_vars(p: MultilinearPoly, perm: dict) -> MultilinearPoly:
-    out = {}
-    for m, c in p.coeffs.items():
-        nm = 0
-        for i in range(p.n):
-            if m & (1 << i):
-                nm |= 1 << (perm.get(i + 1, i + 1) - 1)
-        out[nm] = c
-    return MultilinearPoly._trusted(p.n, p.field, out)
+    parts = [
+        block,
+        Gate(MUL, one, zero, left, right),
+        _times_monomial([x[2], x[4]], corr),
+    ]
+    return [s for s in parts if s is not None]
 
 
 def generic(p: MultilinearPoly) -> RopSum:
@@ -332,7 +231,7 @@ def generic(p: MultilinearPoly) -> RopSum:
         if q.is_zero():
             return []
         if m <= 2:
-            return [_bivariate_rof(q, 1, 2)]
+            return [_bivariate_rof(1, 2, q.coeff(0), q.coeff(1), q.coeff(2), q.coeff(3))]
         if m == 4:
             return _generic_base4(q)
         g, h = q.partial(m), q.restrict(m, 0)
@@ -387,20 +286,10 @@ def symmetric_halves(
             )
             rest = [v for v in range(1, n + 1) if v not in (2 * i - 1, 2 * i)]
             summands.append(Gate(MUL, b, zero, pair, _mono_chain(rest, one, zero)))
-    closing = MultilinearPoly(
-        n,
-        field,
-        {
-            1 << (n - 2): b,
-            1 << (n - 1): b,
-            (1 << (n - 2)) | (1 << (n - 1)): a,
-        },
-    )
-    if not closing.is_zero():
-        closer = _bivariate_rof(closing, n - 1, n)
-        if n > 2:
-            rest = list(range(1, n - 1))
-            closer = Gate(MUL, one, zero, _mono_chain(rest, one, zero), closer)
+    closer = _bivariate_rof(n - 1, n, zero, b, b, a)
+    if n > 2:
+        closer = _times_monomial(list(range(1, n - 1)), closer)
+    if closer is not None:
         summands.append(closer)
     return _verified(summands, target)
 
@@ -426,48 +315,24 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
 
     summands: List[Rof] = []
     if c2.is_zero() and c3.is_zero():
-        linear = _linear_rof(
-            MultilinearPoly(
-                4, field, {0: c0, 0b0001: c1, 0b0010: c1, 0b0100: c1, 0b1000: c1}
-            )
-        )
+        linear = _linear_rof(c0, [(v, c1) for v in (1, 2, 3, 4)])
         if linear is not None:
             summands.append(linear)
         if not c4.is_zero():
             summands.append(_mono_chain([1, 2, 3, 4], c4, zero))
     elif c2.is_zero():
         # (a1 + a3 x1x2)(x3 + x4 + (a4/a3) x3x4) + (a1 + a3 x3x4)(x1 + x2 - a1a4/a3^2)
-        f1 = MultilinearPoly(4, field, {0: c1, 0b0011: c3})
-        g1 = MultilinearPoly(
-            4, field, {0b0100: one, 0b1000: one, 0b1100: c4 / c3}
-        )
-        f2 = MultilinearPoly(4, field, {0: c1, 0b1100: c3})
-        g2 = MultilinearPoly(
-            4, field, {0b0001: one, 0b0010: one, 0: -(c1 * c4) / (c3 * c3)}
-        )
-        summands.append(
-            Gate(MUL, one, zero, _bivariate_rof(f1, 1, 2), _bivariate_rof(g1, 3, 4))
-        )
-        summands.append(
-            Gate(MUL, one, zero, _bivariate_rof(f2, 3, 4), _bivariate_rof(g2, 1, 2))
-        )
+        f1 = _bivariate_rof(1, 2, c1, zero, zero, c3)
+        g1 = _bivariate_rof(3, 4, zero, one, one, c4 / c3)
+        f2 = _bivariate_rof(3, 4, c1, zero, zero, c3)
+        g2 = _bivariate_rof(1, 2, -(c1 * c4) / (c3 * c3), one, one, zero)
+        summands.append(Gate(MUL, one, zero, f1, g1))
+        summands.append(Gate(MUL, one, zero, f2, g2))
     else:
         inv2 = c2.inverse()
-        blk_low = MultilinearPoly(
-            4, field, {0: c1, 0b0001: c2, 0b0010: c2, 0b0011: c3}
-        )
-        blk_high = MultilinearPoly(
-            4, field, {0: c1, 0b0100: c2, 0b1000: c2, 0b1100: c3}
-        )
-        summands.append(
-            Gate(
-                MUL,
-                inv2,
-                zero,
-                _bivariate_rof(blk_low, 1, 2),
-                _bivariate_rof(blk_high, 3, 4),
-            )
-        )
+        blk_low = _bivariate_rof(1, 2, c1, c2, c2, c3)
+        blk_high = _bivariate_rof(3, 4, c1, c2, c2, c3)
+        summands.append(Gate(MUL, inv2, zero, blk_low, blk_high))
         w = c2 * c2 - c1 * c3
         det = c2 * c4 - c3 * c3
         if det.is_zero():
@@ -490,12 +355,9 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     residual = target - sum_evaluate(trial)
     if not residual.is_constant():
         raise RopsumError("internal: case-table residual is not a constant")
-    shift = residual.constant_term()
-    if not shift.is_zero():
-        if summands:
-            summands[0] = _with_beta(summands[0], shift)
-        else:
-            summands.append(Leaf(1, zero, shift))
+    # summands is empty only for the zero target, whose residual is zero
+    if summands:
+        summands[0] = _with_beta(summands[0], residual.constant_term())
     if len(summands) > 2:
         raise RopsumError("internal: more than two summands from the case table")
     return _verified(summands, target)

@@ -219,23 +219,12 @@ class MultilinearPoly(_Poly):
             out[m] = c if s is None else s + c
         return MultilinearPoly._trusted(self.n, self.field, self.field.canon(out))
 
-    def restrict_many(self, assignment: Dict[int, Scalar]) -> "MultilinearPoly":
-        p = self
-        for i, v in assignment.items():
-            p = p.restrict(i, v)
-        return p
-
     def partial(self, i: int) -> "MultilinearPoly":
         """Discrete partial derivative: p|_{x_i=1} - p|_{x_i=0}."""
         self._check_index(i)
         bit = 1 << (i - 1)
         out = {m ^ bit: c for m, c in self.coeffs.items() if m & bit}
         return MultilinearPoly._trusted(self.n, self.field, out)
-
-    def evaluate(self, point: Dict[int, Scalar]) -> FieldElem:
-        """Evaluate at a full assignment of all variables in Var(p)."""
-        p = self.restrict_many({i: point[i] for i in self.variables()})
-        return p.constant_term()
 
     def with_n(self, n: int) -> "MultilinearPoly":
         """Re-declare the variable count (pad or shrink when unused)."""
@@ -394,36 +383,40 @@ class SparsePoly(_Poly):
     def divide_exact(self, divisor: "SparsePoly") -> Optional["SparsePoly"]:
         """Exact quotient self / divisor, or None when division is inexact.
 
-        Plain multivariate long division in lex order; for a single divisor
-        the remainder vanishes exactly when the divisor divides self.  The
-        remainder is kept on exponent tuples, whose entries may exceed the
-        packed width, so the exponent cap only applies to the quotient.
-        The leading monomial strictly decreases at every step, so each
-        quotient monomial is produced once.
+        Plain multivariate long division on packed keys, whose integer order
+        is a lex order (x_n first); for a single divisor the remainder
+        vanishes exactly when the divisor divides self.  An exact quotient
+        divides self, so its exponents are at most MAX_EXPONENT; a larger
+        one means the division is inexact.  That bound keeps every
+        remainder exponent at most 2 * MAX_EXPONENT, inside its field.  The
+        leading key strictly decreases at every step, so each quotient
+        monomial is produced once.
         """
         self._check_compat(divisor)
         if divisor.is_zero():
             raise DivisionByZero("division by the zero polynomial")
-        field, n = self.field, self.n
-        terms = [(_exponents(k, n), c) for k, c in divisor.coeffs.items()]
-        lead, lead_c = max(terms, key=lambda t: t[0])
-        rem = {_exponents(k, n): c for k, c in self.coeffs.items()}
+        field = self.field
+        lead = max(divisor.coeffs)
+        lead_c = divisor.coeffs[lead]
+        rem = dict(self.coeffs)
         quot = {}
         while rem:
             e = max(rem)
-            if any(a < b for a, b in zip(e, lead)):
+            shift = e - lead
+            # a borrow out of a field: some exponent of e is below lead's;
+            # a quotient exponent above MAX_EXPONENT: inexact, as above
+            if (e ^ lead ^ shift) & _BORROW or (shift + _OVER) & _TOP:
                 return None
-            shift = tuple(a - b for a, b in zip(e, lead))
             factor = field.div(rem[e], lead_c)
             quot[shift] = factor
-            for de, dc in terms:
-                t = tuple(a + b for a, b in zip(shift, de))
+            for de, dc in divisor.coeffs.items():
+                t = shift + de
                 s = field.sub(rem.get(t, 0), field.mul(dc, factor))
                 if s:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-        return SparsePoly(n, field, quot)
+        return SparsePoly._trusted(self.n, field, quot)
 
     def __str__(self):
         return sparse_str(self)
@@ -437,6 +430,10 @@ _OVER = sum(
     for i in range(MAX_VARIABLES)
 )
 _TOP = sum((1 << (_WIDTH - 1)) << (_WIDTH * i) for i in range(MAX_VARIABLES))
+# The lowest bit of every field above the first, and of the one past the
+# last: a - b borrows out of some field of a exactly when (a ^ b ^ (a - b))
+# has one of these bits set (a negative difference sets the last).
+_BORROW = sum(1 << (_WIDTH * i) for i in range(1, MAX_VARIABLES + 1))
 
 
 def sparse_str(p: SparsePoly) -> str:

@@ -13,7 +13,7 @@ variables freely, each tree alone may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DegenerateLeaf,
@@ -57,23 +57,28 @@ class Violation(NamedTuple):
     detail: str
 
 
-def _nodes(rof: Rof) -> Iterator[Rof]:
-    """Every node of the tree in pre-order, left before right.
+def _post_order(rof: Rof) -> List[Rof]:
+    """Every node after both its children, left subtree first; the leaves
+    come out left to right.
 
     The walks over a tree use an explicit stack, not recursion, so a
     formula of any depth is handled.
     """
+    # a pre-order that visits the right child first, reversed
+    order: List[Rof] = []
     stack = [rof]
     while stack:
         node = stack.pop()
-        yield node
+        order.append(node)
         if isinstance(node, Gate):
-            stack += (node.right, node.left)
+            stack += (node.left, node.right)
+    order.reverse()
+    return order
 
 
 def leaf_vars(rof: Rof) -> List[int]:
     """Variables labelling leaves, in left-to-right order (with repeats)."""
-    return [node.var for node in _nodes(rof) if isinstance(node, Leaf)]
+    return [node.var for node in _post_order(rof) if isinstance(node, Leaf)]
 
 
 def field_of(rof: Rof) -> FieldDescriptor:
@@ -85,7 +90,7 @@ def validate(rof: Rof) -> List[Violation]:
     violations: List[Violation] = []
     field = field_of(rof)
     seen: Dict[int, int] = {}
-    for node in _nodes(rof):
+    for node in _post_order(rof):
         for scalar in (node.alpha, node.beta):
             if scalar.field != field:
                 violations.append(
@@ -108,20 +113,6 @@ def validate(rof: Rof) -> List[Violation]:
                 Violation("duplicate_variable", "x%d labels %d leaves" % (v, count))
             )
     return violations
-
-
-def _post_order(rof: Rof) -> List[Rof]:
-    """Every node after both its children, left subtree first."""
-    # a pre-order that visits the right child first, reversed
-    order: List[Rof] = []
-    stack = [rof]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, Gate):
-            stack += (node.left, node.right)
-    order.reverse()
-    return order
 
 
 def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
@@ -172,7 +163,9 @@ def relabel_variables(rof: Rof, mapping: Dict[int, int]) -> Rof:
 
 def is_multiplicative_structural(rof: Rof) -> bool:
     """True iff the tree contains no addition gate."""
-    return not any(isinstance(node, Gate) and node.op == ADD for node in _nodes(rof))
+    return not any(
+        isinstance(node, Gate) and node.op == ADD for node in _post_order(rof)
+    )
 
 
 def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
@@ -212,14 +205,14 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     if i not in all_vars:
         raise IndexOutOfRange("x%d does not occur in the formula" % i)
 
-    if any(node.alpha.is_zero() for node in _nodes(rof)):
+    if any(node.alpha.is_zero() for node in _post_order(rof)):
         raise DegenerateLeaf("zero scale collapses a subtree to a constant")
 
     # the formula is read-once, so x_i labels exactly one leaf, and with
     # >= 2 variables that leaf has a parent
     leaf, sibling = next(
         (child, sibling)
-        for node in _nodes(rof)
+        for node in _post_order(rof)
         if isinstance(node, Gate)
         for child, sibling in ((node.left, node.right), (node.right, node.left))
         if isinstance(child, Leaf) and child.var == i

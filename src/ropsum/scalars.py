@@ -113,12 +113,6 @@ class FieldDescriptor:
         raw = self.raw(value)
         return value if isinstance(value, FieldElem) else FieldElem(self, raw)
 
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if self.kind == "rationals":
-            raise PreconditionViolated("cannot enumerate the rationals")
-        return (FieldElem(self, v) for v in range(self.p))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldDescriptor)

@@ -293,6 +293,16 @@ def test_exit_code_eval_beyond_variable_cap(capsys):
     assert code == 3 and "variable count 31" in err
 
 
+def test_exit_code_huge_variable_index(capsys):
+    # the index is checked before 1 << (index - 1) is built
+    code, out, err = run(capsys, "parse", "x3199999999999")
+    assert code == 3 and out == "" and "variable count 3199999999999" in err
+    code, out, err = run(
+        capsys, "oracle", "--p", "2", "--n", "2", "--min-k", "x1 + x3199999999999"
+    )
+    assert code == 3 and out == "" and "precondition" in err
+
+
 def test_exit_code_verify_malformed_json(capsys):
     code, _, err = run(capsys, "verify", "--target", "x1", "[1,2")
     assert code == 2 and "parse error" in err

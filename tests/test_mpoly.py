@@ -250,6 +250,31 @@ def test_sparse_divide_exact():
     assert off.divide_exact(l) is None
 
 
+def test_sparse_divide_exact_fixed_seed():
+    rng = random.Random(29)
+
+    def sparse(n, nonconstant=False):
+        terms = {}
+        while not terms or (nonconstant and set(terms) == {(0,) * n}):
+            exps = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[exps] = random_scalar(rng, field, nonzero=True)
+        return SparsePoly(n, field, terms)
+
+    for field in (QQ, prime_field(3)):
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a, b = sparse(n), sparse(n, nonconstant=True)
+            assert (a * b).divide_exact(b) == a
+            # b | a*b + c would make b divide the nonzero constant c
+            c = SparsePoly(n, field, {(0,) * n: random_scalar(rng, field, nonzero=True)})
+            assert (a * b + c).divide_exact(b) is None
+    # x2^4 - x2 = (x2 - x1^4)(x2^3 + x1^4 x2^2 + x1^8 x2 + x1^12) + x1^16 - x2:
+    # the quotient exceeds the exponent cap, and past it x1^16 would carry
+    # into x2's field and cancel the remainder
+    num = SparsePoly(2, QQ, {(0, 4): 1, (0, 1): -1})
+    assert num.divide_exact(SparsePoly(2, QQ, {(0, 1): 1, (4, 0): -1})) is None
+
+
 def test_format_round_trip_via_repr():
     p = P(3, {0: 1, 0b001: Fraction(-1, 2), 0b110: 3})
     assert format_poly(p) == "1 - 1/2*x1 + 3*x2*x3"
