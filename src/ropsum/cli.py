@@ -46,7 +46,7 @@ from .oracle import (
 )
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
-from .scalars import QQ, FieldDescriptor, parse_scalar, prime_field
+from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
 
 _VAR_RE = re.compile(r"^x(\d+)$")
 
@@ -87,7 +87,7 @@ def parse_poly_text(
         for idx, factor in enumerate(factors):
             m = _VAR_RE.match(factor)
             if m:
-                var = int(m.group(1))
+                var = int_literal(m.group(1))
                 if var < 1:
                     raise ParseError("variable index must be >= 1 in %r" % factor)
                 if var > MAX_VARIABLES:  # before 1 << (var - 1) is built
@@ -250,6 +250,11 @@ def _cmd_refute2(args, field) -> int:
 
 
 def _cmd_oracle(args, field) -> int:
+    target = None
+    if args.min_k is not None:  # a bad target is refused before any enumeration
+        target = parse_poly_text(_read_arg(args.min_k), prime_field(args.p))
+        if target.n < args.n:
+            target = target.with_n(args.n)
     cls: Optional[RopClass] = None
     try:
         if args.cache and os.path.exists(args.cache):
@@ -266,12 +271,8 @@ def _cmd_oracle(args, field) -> int:
     except OSError as exc:
         raise PreconditionViolated("cannot use cache file: %s" % exc) from None
 
-    if args.min_k is not None:
-        fp = prime_field(args.p)
-        poly = parse_poly_text(_read_arg(args.min_k), fp)
-        if poly.n < args.n:
-            poly = poly.with_n(args.n)
-        return _emit({"min_k": min_k(pack(poly), cls, args.kmax)})
+    if target is not None:
+        return _emit({"min_k": min_k(pack(target), cls, args.kmax)})
     if args.closure_report:
         rep = closure_report(cls)
         return _emit(

@@ -4,10 +4,12 @@
 count, the set of *all* functions computable by read-once formulas: a
 dynamic program over nonempty variable subsets merges the function sets
 of the two sides of every possible top gate, deduplicating at the level
-of functions rather than trees.  Internally polynomials are carried as
-evaluation tables over the 0/1 cube (gates act pointwise there); the
-final class is stored in the packed coefficient encoding: 2^n base-p
-digits, one per monomial mask.
+of functions rather than trees.  Every function, in the class and while it
+is built, is a packed coefficient encoding: one digit per monomial mask S,
+the coefficient of S.  The class stores the digits base p, so a value is
+below p^(2^n); the enumerator works in a wide form with each digit in its
+own w-bit field (w = 1 over F_2, 8 otherwise), wide enough that the
+integer product of two variable-disjoint functions never carries.
 
 ``min_k`` answers the minimal-summand question by sumset search on the
 class: the two-summand test is an exact join on the top variable's half,
@@ -26,7 +28,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     InfeasibleParameters,
@@ -80,24 +82,6 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
     return MultilinearPoly._trusted(packed.n, field, coeffs)
 
 
-def _undigits(digits: Sequence[int], p: int) -> int:
-    value = 0
-    for d in reversed(digits):
-        value = value * p + d
-    return value
-
-
-def _evals_to_coeffs(evals: List[int], p: int, n: int) -> List[int]:
-    # Moebius inversion over the 0/1 cube, one variable at a time.
-    out = list(evals)
-    for b in range(n):
-        bit = 1 << b
-        for s in range(1 << n):
-            if s & bit:
-                out[s] = (out[s] - out[s ^ bit]) % p
-    return out
-
-
 @dataclass
 class RopClass:
     """The deduplicated set of read-once computable functions over F_p.
@@ -144,105 +128,58 @@ def _submasks_with_lowest(u: int) -> Iterable[int]:
             return
 
 
-def _enumerate_f2(n: int) -> List[int]:
+def _enumerate(p: int, n: int) -> List[int]:
+    """The sorted packed encodings of every read-once function over F_p.
+
+    A dynamic program over variable subsets u: ``tables[u]`` holds, without
+    their constant coefficient, the functions of formulas on u's variables;
+    adding each constant gives the rest.  Every table is closed under
+    scaling, so the affine post-map of a gate needs no work.  For l in
+    ``tables[a]`` and r in ``tables[b]``, a and b disjoint, a sum gate gives
+    l + r.  A product gate (l + c)*(r + d) less its constant is
+    l*r + d*l + c*r: for d = 0 that is l*r + g*r, and for d != 0 it is
+    l'*r' + l' + g*r' with l' = d*l, r' = r/d and g = c*d, both again
+    table members.  So l*r + g*r and l*r + l + g*r, g in F_p, cover it.
+
+    Functions are held in a wide packed form: the coefficient of monomial S
+    sits in a w-bit field at bit w*S, with w = 1 for p = 2 and 8 otherwise.
+    So the integer product of two variable-disjoint functions is their
+    polynomial product (monomial S|T comes from the one pair (S, T), and a
+    digit is at most (p-1)^2 < 2^w), and in the sums above no two digits
+    meet.  Over odd p one ``bytes.translate`` reduces a product's digits
+    mod p; over F_2 the wide form is the packed encoding."""
+    w = 1 if p == 2 else 8
     size = 1 << n
-    all_ones = (1 << size) - 1
-    # var_pattern[i] has bit s set iff assignment s sets x_{i+1} to 1
-    var_pattern = []
-    for i in range(n):
-        pat = 0
-        for s in range(size):
-            if s & (1 << i):
-                pat |= 1 << s
-        var_pattern.append(pat)
+    mod_p = bytes(x % p for x in range(256))
+
+    def reduced(t: int) -> int:
+        if p == 2:
+            return t
+        return int.from_bytes(t.to_bytes(size, "little").translate(mod_p), "little")
 
     tables: Dict[int, Set[int]] = {}
-    for u in sorted(range(1, 1 << n), key=lambda m: m.bit_count()):
-        out: Set[int] = {0, all_ones}
-        if u.bit_count() == 1:
-            pat = var_pattern[u.bit_length() - 1]
-            out.add(pat)
-            out.add(pat ^ all_ones)
-        else:
-            for a in _submasks_with_lowest(u):
-                b = u ^ a
-                if b == 0:
-                    continue
-                ta, tb = tables[a], tables[b]
-                for left in ta:
-                    for right in tb:
-                        for raw in (left ^ right, left & right):
-                            out.add(raw)
-                            out.add(raw ^ all_ones)
+    for u in sorted(range(1, 1 << n), key=int.bit_count):
+        if u & (u - 1) == 0:
+            tables[u] = {alpha << (w * u) for alpha in range(p)}
+            continue
+        out: Set[int] = set()
+        for a in _submasks_with_lowest(u):
+            right = [(r, [reduced(g * r) for g in range(p)]) for r in tables[u ^ a]]
+            for left in tables[a]:
+                for r, multiples in right:
+                    lr = reduced(left * r)
+                    out.add(left + r)
+                    for gr in multiples:
+                        out.add(lr + gr)
+                        out.add(lr + left + gr)
         tables[u] = out
 
-    union: Set[int] = set()
-    for s in tables.values():
-        union |= s
-
-    # evaluation tables -> packed coefficient masks (both are 2^n-bit ints):
-    # positions s and s^bit differ by a bit-shift of exactly `bit`
-    low_half = []
-    for b in range(n):
-        bit = 1 << b
-        mask = 0
-        for s in range(size):
-            if not s & bit:
-                mask |= 1 << s
-        low_half.append((mask, bit))
-    members = []
-    for t in union:
-        for mask, shift in low_half:
-            t ^= (t & mask) << shift
-        members.append(t)
-    return sorted(set(members))
-
-
-def _enumerate_odd(p: int, n: int) -> List[int]:
-    size = 1 << n
-    # affine post-maps t -> alpha*t + beta for alpha != 0, as lookup tables
-    affine = [
-        tuple((alpha * v + beta) % p for v in range(p))
-        for alpha in range(1, p)
-        for beta in range(p)
-    ]
-    constants = {tuple([beta] * size) for beta in range(p)}
-
-    tables: Dict[int, Set[Tuple[int, ...]]] = {}
-    for u in sorted(range(1, 1 << n), key=lambda m: m.bit_count()):
-        out: Set[Tuple[int, ...]] = set(constants)
-        if u.bit_count() == 1:
-            i = u.bit_length() - 1
-            base = tuple((s >> i) & 1 for s in range(size))
-            for av in affine:
-                out.add(tuple(av[v] for v in base))
-        else:
-            add_mod = [[(x + y) % p for y in range(p)] for x in range(p)]
-            mul_mod = [[(x * y) % p for y in range(p)] for x in range(p)]
-            for a in _submasks_with_lowest(u):
-                b = u ^ a
-                if b == 0:
-                    continue
-                for left in tables[a]:
-                    for right in tables[b]:
-                        summed = tuple(
-                            add_mod[x][y] for x, y in zip(left, right)
-                        )
-                        product = tuple(
-                            mul_mod[x][y] for x, y in zip(left, right)
-                        )
-                        for raw in (summed, product):
-                            for av in affine:
-                                out.add(tuple(av[v] for v in raw))
-        tables[u] = out
-
-    union: Set[Tuple[int, ...]] = set()
-    for s in tables.values():
-        union |= s
-    members = {
-        _undigits(_evals_to_coeffs(list(t), p, n), p) for t in union
-    }
-    return sorted(members)
+    # each smaller table is in the full one, by a sum with 0
+    top = tables[size - 1]
+    if p != 2:
+        digits = bytes.maketrans(bytes(range(p)), b"0123456789"[:p])
+        top = [int(t.to_bytes(size, "big").translate(digits), p) for t in top]
+    return sorted(t + beta for t in top for beta in range(p))
 
 
 def enumerate_rops(p: int, n: int) -> RopClass:
@@ -252,8 +189,7 @@ def enumerate_rops(p: int, n: int) -> RopClass:
         raise InfeasibleParameters(
             "supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3"
         )
-    members = _enumerate_f2(n) if p == 2 else _enumerate_odd(p, n)
-    return RopClass(p, n, tuple(members))
+    return RopClass(p, n, tuple(_enumerate(p, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -324,19 +324,6 @@ def disjoint_factorization(p: MultilinearPoly) -> List[MultilinearPoly]:
 # ---------------------------------------------------------------------------
 
 
-def _c1_trials(field: FieldDescriptor):
-    if field.kind == "prime":
-        for v in range(field.p):
-            yield field.elem(v)
-        return
-    yield field.elem(0)
-    k = 1
-    while True:
-        yield field.elem(k)
-        yield field.elem(-k)
-        k += 1
-
-
 def check_c1prime(
     g: MultilinearPoly,
 ) -> Optional[Tuple[int, int, FieldElem, FieldElem]]:
@@ -345,7 +332,7 @@ def check_c1prime(
     After the restriction only the monomial on the complementary pair
     {k, l} can have degree 2; its coefficient is the bilinear form
     c(a, b) = g_kl + a g_ikl + b g_jkl + ab g_ijkl, solved exactly as a
-    linear equation in b for trial values of a.
+    linear equation in b for a = 0, then a = 1.
     """
     if g.n != 4:
         raise WrongArity("restriction-linearity check needs exactly 4 variables")
@@ -367,7 +354,8 @@ def check_c1prime(
                 if g_kl.is_zero():
                     return i, j, zero, zero
                 continue
-            for a in _c1_trials(field):
+            # the slope is g_jkl at a = 0, and g_ijkl, nonzero when g_jkl is 0, at a = 1
+            for a in (zero, field.one()):
                 slope = g_ijkl * a + g_jkl
                 offset = g_ikl * a + g_kl
                 if not slope.is_zero():

@@ -27,7 +27,7 @@ from .errors import (
     TooManyVariables,
 )
 from .mpoly import MAX_VARIABLES, MultilinearPoly
-from .scalars import FieldDescriptor, FieldElem, format_scalar, parse_scalar
+from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
 ADD = "add"
 MUL = "mul"
@@ -381,7 +381,7 @@ def _parse_node(ts: _TokenStream, field: FieldDescriptor) -> Rof:
         var_tok = ts.next()
         if not var_tok.startswith("x") or not var_tok[1:].isdigit():
             raise ParseError("expected a variable like x1, got %r" % var_tok, ts.pos - 1)
-        var = int(var_tok[1:])
+        var = int_literal(var_tok[1:])
         if var < 1:
             raise ParseError("variable index must be >= 1", ts.pos - 1)
         ts.expect(")")

@@ -275,6 +275,15 @@ _RAT_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+def int_literal(digits: str) -> int:
+    """``int(digits)``, with a literal past the interpreter's limit on
+    decimal digits (4,300 by default) refused as a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer literal of %d characters is too long" % len(digits)) from None
+
+
 def parse_scalar(text: str, field: FieldDescriptor) -> FieldElem:
     """Parse ``k``, ``p/q`` or ``k mod p`` in the context of ``field``."""
     s = text.strip()
@@ -282,19 +291,19 @@ def parse_scalar(text: str, field: FieldDescriptor) -> FieldElem:
     if m:
         if field.kind != "prime":
             raise ParseError("'mod' scalar %r in a rational context" % s)
-        if int(m.group(2)) != field.p:
+        if int_literal(m.group(2)) != field.p:
             raise ParseError(
                 "scalar %r has modulus %s, field is F_%d" % (s, m.group(2), field.p)
             )
-        return field.elem(int(m.group(1)))
+        return field.elem(int_literal(m.group(1)))
     m = _RAT_RE.match(s)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = int_literal(m.group(1)), int_literal(m.group(2))
         if den == 0:
             raise ParseError("zero denominator in %r" % s)
         return field.elem(Fraction(num, den))
     if _INT_RE.match(s):
-        return field.elem(int(s))
+        return field.elem(int_literal(s))
     raise ParseError("cannot parse scalar %r" % text)
 
 

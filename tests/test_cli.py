@@ -324,6 +324,32 @@ def test_exit_code_cache_in_missing_directory(capsys, tmp_path):
     assert code == 3 and "precondition" in err
 
 
+def test_oracle_min_k_target_is_parsed_before_the_class(capsys, tmp_path):
+    # a malformed target is refused before the class is built or cached
+    cache = tmp_path / "missing" / "f"
+    code, out, err = run(
+        capsys, "oracle", "--p", "2", "--n", "3", "--cache", str(cache), "--min-k", "x1 ++ x2"
+    )
+    assert code == 2 and out == "" and "parse error" in err
+
+
+LONG_LITERAL = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "x1 + " + LONG_LITERAL),
+        ("parse", "x" + LONG_LITERAL),
+        ("eval", "(leaf (1 0) x%s)" % LONG_LITERAL),
+    ],
+    ids=["scalar", "poly-variable", "rof-variable"],
+)
+def test_exit_code_long_integer_literal(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "integer literal of 5000 characters" in err
+
+
 def test_oracle_cache_with_zeroed_count_is_refused(capsys, tmp_path):
     cache = tmp_path / "F"
     code, _, _ = run(capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import struct
@@ -324,3 +325,29 @@ def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
     finally:
         cls._member_set = counting.inner
     assert negatives >= 20
+
+
+# member count and sha256 of struct.pack("<%dQ", *members), for every feasible
+# class: the enumeration's output, bit for bit
+CLASS_DIGESTS = {
+    (2, 1): (4, "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77"),
+    (2, 2): (16, "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee"),
+    (2, 3): (152, "412eadf3a49a33a8ce8153f6e23f9890a2fc61d7ecbdf03ed0a80854afee4607"),
+    (2, 4): (2680, "3548d9f4ab27ae73d72f034c346e727a8cbb6a29524326baa3826f18b354d148"),
+    (2, 5): (68968, "678fdd892b107b01641cef5b4081350dd958ec4c936c08604a29d5b1ba73c5a0"),
+    (3, 1): (9, "419ce84f0e9d892643ed1279ee8cdaa70ddc452e676dfe448cbeaaa830c06567"),
+    (3, 2): (81, "59b1c3b9082da2f7d0cd6c28dd712d157c525ac39c94c5c161fae3a779d12339"),
+    (3, 3): (2025, "b0472094cc2877019d29d2c2d86374c78ef9f725e78da3d905abfc2a6a56c014"),
+    (3, 4): (89721, "f44bf43b15a7ad0b770b56798511f16c7448c96f53092f9f387db0b074894e43"),
+    (5, 1): (25, "2a0a16a7ce85c211f6b6e8a758e7ec09f9fd77e230e81d74c30a857dd51e2de6"),
+    (5, 2): (625, "00e8934acf30e378fed47a04200363e3dbe0eb56695e801b5e3c6ee400d6be8e"),
+    (5, 3): (46625, "5692611b3a87404d9a8c8d75d5dfb045521352664b23dec291b8c1f39b5971f1"),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(CLASS_DIGESTS))
+def test_every_feasible_class_is_pinned(classes, p, n):
+    count, digest = CLASS_DIGESTS[(p, n)]
+    members = classes(p, n).members
+    assert len(members) == count
+    assert hashlib.sha256(struct.pack("<%dQ" % count, *members)).hexdigest() == digest
