@@ -27,23 +27,9 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import (
-    IndexOutOfRange,
-    ParameterMismatch,
-    ParseError,
-    PreconditionError,
-    PreconditionViolated,
-)
+from .errors import IndexOutOfRange, ParseError, PreconditionError
 from .mpoly import MAX_VARIABLES, MultilinearPoly, commutator, format_poly, sparse_str
-from .oracle import (
-    RopClass,
-    closure_report,
-    enumerate_rops,
-    load_class,
-    min_k,
-    pack,
-    save_class,
-)
+from .oracle import closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
 from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
@@ -252,25 +238,10 @@ def _cmd_refute2(args, field) -> int:
 def _cmd_oracle(args, field) -> int:
     target = None
     if args.min_k is not None:  # a bad target is refused before any enumeration
-        target = parse_poly_text(_read_arg(args.min_k), prime_field(args.p))
+        target = parse_poly_text(_read_arg(args.min_k), field)
         if target.n < args.n:
             target = target.with_n(args.n)
-    cls: Optional[RopClass] = None
-    try:
-        if args.cache and os.path.exists(args.cache):
-            cls = load_class(args.cache)
-            if cls.p != args.p or cls.n != args.n:
-                raise ParameterMismatch(
-                    "cache holds (p=%d, n=%d), requested (p=%d, n=%d)"
-                    % (cls.p, cls.n, args.p, args.n)
-                )
-        if cls is None:
-            cls = enumerate_rops(args.p, args.n)
-            if args.cache:
-                save_class(cls, args.cache)
-    except OSError as exc:
-        raise PreconditionViolated("cannot use cache file: %s" % exc) from None
-
+    cls = enumerate_rops(field.p, args.n)
     if target is not None:
         return _emit({"min_k": min_k(pack(target), cls, args.kmax)})
     if args.closure_report:
@@ -341,11 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
 
     p = add("oracle", _cmd_oracle, help="exhaustive finite-field queries")
-    p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-k", dest="min_k", default=None, help="target polynomial")
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--cache", default=None, help="class cache file (read or create)")
     p.add_argument("--closure-report", action="store_true")
 
     p = add("verify", _cmd_verify, help="check a sum of formulas against a target")

@@ -499,6 +499,8 @@ def elementary_symmetric(n: int, k: int, field: FieldDescriptor = QQ) -> Multili
     """S_n^k: the sum of all degree-k multilinear monomials on n variables."""
     if not (0 <= k <= n):
         raise IndexOutOfRange("need 0 <= k <= n, got k=%d, n=%d" % (k, n))
+    if n > MAX_VARIABLES:  # before C(n, k) masks are built
+        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
     coeffs = {}
     for subset in combinations(range(n), k):
         mask = 0

@@ -18,24 +18,15 @@ at a time down to that test.  ``closure_report`` checks closure under
 derivatives and restrictions member by member.
 
 Feasible parameters: p=2 up to n=5, p=3 up to n=4, p=5 up to n=3.
-Enumeration is single-threaded and deterministic; a class can be
-persisted to a flat binary file and reloaded bit-exactly.
+Enumeration is single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-import tempfile
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .errors import (
-    InfeasibleParameters,
-    ParameterMismatch,
-    ParseError,
-    PreconditionViolated,
-)
+from .errors import InfeasibleParameters, ParameterMismatch, PreconditionViolated
 from .mpoly import MultilinearPoly
 from .scalars import prime_field
 
@@ -306,60 +297,3 @@ def closure_report(cls: RopClass) -> ClosureReport:
                 if pack(poly.restrict(i, v)).value not in cls:
                     restr_bad.append((value, i, v))
     return ClosureReport(p, n, len(cls.members), deriv_bad, restr_bad)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"ROPC"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIQ")
-
-
-def save_class(cls: RopClass, path: str):
-    """Write the class to a flat binary file.  The bytes go to a temporary
-    file in the same directory, which then replaces ``path`` in one step,
-    so a reader never sees a partly written file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, cls.p, cls.n, len(cls.members)))
-            fh.write(struct.pack("<%dQ" % len(cls.members), *cls.members))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_class(path: str) -> RopClass:
-    """Read a class written by ``save_class``, refusing any file that is not
-    a well-formed class: besides the layout, the parameters must be
-    feasible, the members strictly increasing and in range, and the
-    constants 0..p-1, which every read-once class contains, present."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ParseError("truncated class file %r" % path)
-        magic, version, p, n, count = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ParseError("bad magic in %r" % path)
-        if version != _VERSION:
-            raise ParseError("unsupported version %d in %r" % (version, path))
-        if not 1 <= n <= _FEASIBLE.get(p, 0):
-            raise ParseError("infeasible parameters (p=%d, n=%d) in %r" % (p, n, path))
-        body = fh.read(8 * count)
-        if len(body) != 8 * count:
-            raise ParseError("truncated member table in %r" % path)
-        if fh.read(1):
-            raise ParseError("trailing bytes after the member table in %r" % path)
-    members = struct.unpack("<%dQ" % count, body)
-    if any(a >= b for a, b in zip(members, members[1:])):
-        raise ParseError("members not strictly increasing in %r" % path)
-    if members and members[-1] >= p ** (1 << n):
-        raise ParseError("member outside [0, p^(2^n)) in %r" % path)
-    if members[:p] != tuple(range(p)):
-        raise ParseError("class in %r lacks the constants 0..%d" % (path, p - 1))
-    return RopClass(p, n, members)

@@ -1,6 +1,5 @@
 import json
 import random
-import struct
 import time
 
 import pytest
@@ -153,61 +152,44 @@ def test_cmd_refute2(capsys):
     assert json.loads(out)["outcome"] == "not_expressible"
 
 
-def test_cmd_oracle_min_k_and_cache(capsys, tmp_path):
-    cache = tmp_path / "c23.ropc"
+def test_cmd_oracle_min_k_and_cache(capsys):
     code, out, _ = run(
         capsys,
         "oracle",
-        "--p",
-        "2",
+        "--field",
+        "fp:2",
         "--n",
         "3",
         "--min-k",
         "x1*x2 + x1*x3 + x2*x3",
-        "--cache",
-        str(cache),
     )
     assert code == 0 and json.loads(out) == {"min_k": 2}
-    assert cache.exists()
-    # second run loads the cache
-    code, out, _ = run(
-        capsys,
-        "oracle",
-        "--p",
-        "2",
-        "--n",
-        "3",
-        "--min-k",
-        "x1",
-        "--cache",
-        str(cache),
-    )
+    code, out, _ = run(capsys, "oracle", "--field", "fp:2", "--n", "3", "--min-k", "x1")
     assert code == 0 and json.loads(out) == {"min_k": 1}
-    # mismatched parameters are refused
-    code, _, err = run(
-        capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache)
-    )
-    assert code == 3
 
 
-def test_cmd_oracle_min_k_odd_prime_cache_round_trip(capsys, tmp_path):
+def test_cmd_oracle_min_k_odd_prime_cache_round_trip(capsys):
     # x1*(x2 + x3) + (x2*x3 + x4) over F_3: a sum of two read-once formulas
     # that is not read-once itself
-    cache = tmp_path / "c34.ropc"
     target = "x1*x2 + x1*x3 + x2*x3 + x4"
-    query = ("oracle", "--p", "3", "--n", "4", "--min-k", target, "--cache", str(cache))
-    code, out, _ = run(capsys, *query)
-    assert code == 0 and json.loads(out) == {"min_k": 2}
-    assert cache.exists()
+    query = ("oracle", "--field", "fp:3", "--n", "4", "--min-k", target)
     code, out, _ = run(capsys, *query)
     assert code == 0 and json.loads(out) == {"min_k": 2}
     code, out, _ = run(capsys, *query, "--kmax", "1")
     assert code == 0 and json.loads(out) == {"min_k": None}
 
 
+def test_cmd_oracle_takes_its_field_from_the_field_flag(capsys):
+    code, out, _ = run(capsys, "oracle", "--field", "fp:3", "--n", "2")
+    assert code == 0 and json.loads(out) == {"members": 81}
+    for extra in ((), ("--min-k", "x1")):
+        code, out, err = run(capsys, "oracle", "--field", "q", "--n", "2", *extra)
+        assert code == 3 and out == "" and "precondition" in err
+
+
 def test_cmd_oracle_closure(capsys):
     code, out, _ = run(
-        capsys, "oracle", "--p", "2", "--n", "3", "--closure-report"
+        capsys, "oracle", "--field", "fp:2", "--n", "3", "--closure-report"
     )
     payload = json.loads(out)
     assert code == 0 and payload["ok"] is True
@@ -298,7 +280,7 @@ def test_exit_code_huge_variable_index(capsys):
     code, out, err = run(capsys, "parse", "x3199999999999")
     assert code == 3 and out == "" and "variable count 3199999999999" in err
     code, out, err = run(
-        capsys, "oracle", "--p", "2", "--n", "2", "--min-k", "x1 + x3199999999999"
+        capsys, "oracle", "--field", "fp:2", "--n", "2", "--min-k", "x1 + x3199999999999"
     )
     assert code == 3 and out == "" and "precondition" in err
 
@@ -318,17 +300,11 @@ def test_exit_code_symmetric_strategy_bad_n(capsys):
     assert code == 2 and "parse error" in err
 
 
-def test_exit_code_cache_in_missing_directory(capsys, tmp_path):
-    cache = tmp_path / "missing" / "c.ropc"
-    code, _, err = run(capsys, "oracle", "--p", "2", "--n", "3", "--cache", str(cache))
-    assert code == 3 and "precondition" in err
-
-
-def test_oracle_min_k_target_is_parsed_before_the_class(capsys, tmp_path):
-    # a malformed target is refused before the class is built or cached
-    cache = tmp_path / "missing" / "f"
+def test_oracle_min_k_target_is_parsed_before_the_class(capsys):
+    # a malformed target is refused before the class is built: the class
+    # itself is infeasible, which would exit 3
     code, out, err = run(
-        capsys, "oracle", "--p", "2", "--n", "3", "--cache", str(cache), "--min-k", "x1 ++ x2"
+        capsys, "oracle", "--field", "fp:2", "--n", "9", "--min-k", "x1 ++ x2"
     )
     assert code == 2 and out == "" and "parse error" in err
 
@@ -348,16 +324,3 @@ LONG_LITERAL = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
 def test_exit_code_long_integer_literal(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "integer literal of 5000 characters" in err
-
-
-def test_oracle_cache_with_zeroed_count_is_refused(capsys, tmp_path):
-    cache = tmp_path / "F"
-    code, _, _ = run(capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache))
-    assert code == 0
-    data = bytearray(cache.read_bytes())
-    struct.pack_into("<Q", data, 16, 0)  # the header's member count
-    cache.write_bytes(bytes(data))
-    code, out, err = run(
-        capsys, "oracle", "--p", "2", "--n", "4", "--cache", str(cache), "--min-k", "x1*x2"
-    )
-    assert code == 2 and out == "" and "parse error" in err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,14 @@ def test_elementary_symmetric_shape():
     assert all(s.coeff(m).is_one() for m in s.coeffs)
     assert all(m.bit_count() == 2 for m in s.coeffs)
     assert elementary_symmetric(3, 0) == P(3, {0: 1})
+
+
+def test_elementary_symmetric_refuses_large_n_before_enumerating():
+    # k = n: a single mask, but each of its n bits costs a big-int OR
+    start = time.perf_counter()
+    with pytest.raises(IndexOutOfRange, match="variable count 1000000 outside 0..30"):
+        elementary_symmetric(10**6, 10**6)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_m_poly_is_symmetric_combination():

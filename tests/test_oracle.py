@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 import struct
 
@@ -7,7 +6,6 @@ import pytest
 
 from ropsum import (
     InfeasibleParameters,
-    ParseError,
     MultilinearPoly,
     ParameterMismatch,
     PreconditionViolated,
@@ -19,10 +17,8 @@ from ropsum.oracle import (
     RopClass,
     closure_report,
     enumerate_rops,
-    load_class,
     min_k,
     pack,
-    save_class,
     unpack,
 )
 
@@ -132,17 +128,6 @@ def test_closure_under_derivatives_and_restrictions_small():
         assert rep.ok, (rep.derivative_violations, rep.restriction_violations)
 
 
-def test_persistence_round_trip(tmp_path):
-    cls = enumerate_rops(2, 4)
-    path = str(tmp_path / "class.ropc")
-    save_class(cls, path)
-    loaded = load_class(path)
-    assert loaded.p == cls.p and loaded.n == cls.n
-    assert loaded.members == cls.members
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"ROPC"
-
-
 def test_enumeration_is_deterministic():
     a = enumerate_rops(2, 3)
     b = enumerate_rops(2, 3)
@@ -152,43 +137,6 @@ def test_enumeration_is_deterministic():
 def test_closure_of_empty_class_is_vacuous():
     rep = closure_report(RopClass(2, 2, ()))
     assert rep.ok and rep.members_checked == 0
-
-
-def _write_class_file(path, p, n, members, extra=b""):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIQ", b"ROPC", 1, p, n, len(members)))
-        fh.write(struct.pack("<%dQ" % len(members), *members))
-        fh.write(extra)
-
-
-@pytest.mark.parametrize(
-    "p, n, members, extra",
-    [
-        (2, 1, (0, 1, 2, 3), b"\0"),  # trailing bytes
-        (2, 1, (0, 1, 3, 2), b""),  # not increasing
-        (2, 1, (0, 1, 2, 2), b""),  # repeated member
-        (2, 1, (0, 1, 2, 16), b""),  # outside [0, 2^(2^1))
-        (2, 6, (0, 1), b""),  # infeasible n
-        (7, 1, tuple(range(7)), b""),  # infeasible p
-        (2, 1, (1, 2, 3), b""),  # lacks the constant 0
-        (3, 1, (), b""),  # empty
-    ],
-)
-def test_load_class_rejects_malformed_files(tmp_path, p, n, members, extra):
-    path = str(tmp_path / "bad.ropc")
-    _write_class_file(path, p, n, members, extra)
-    with pytest.raises(ParseError):
-        load_class(path)
-
-
-def test_save_class_failure_keeps_the_old_file(tmp_path):
-    path = tmp_path / "class.ropc"
-    save_class(enumerate_rops(2, 2), str(path))
-    before = path.read_bytes()
-    with pytest.raises(struct.error):  # a negative member fails to pack
-        save_class(RopClass(2, 2, (0, 1, -1)), str(path))
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["class.ropc"]
 
 
 # -- sumset queries against a full-scan reference ------------------------------

@@ -138,12 +138,12 @@ argvs = st.one_of(
     ),
     command("refute2", one(poly_text)),
     # only F_2 with n <= 3 is enumerated, so each call is quick; the
-    # other (p, n) are refused before any enumeration
+    # other fields and n are refused before any enumeration
     command(
         "oracle",
         st.tuples(
-            st.just("--p"),
-            st.sampled_from(["2", "4"]),
+            st.just("--field"),
+            st.sampled_from(["fp:2", "fp:4", "q"]),
             st.just("--n"),
             st.sampled_from(["0", "1", "2", "3", "9"]),
             st.just("--kmax"),
