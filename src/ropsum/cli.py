@@ -27,11 +27,21 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import IndexOutOfRange, ParseError, PreconditionError
+from .errors import IndexOutOfRange, ParseError, PreconditionError, PreconditionViolated
 from .mpoly import MAX_VARIABLES, MultilinearPoly, commutator, format_poly, sparse_str
 from .oracle import closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
-from .rof import RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
+from .rof import (
+    RopSum,
+    Violation,
+    evaluate,
+    leaf_vars,
+    parse_rof,
+    print_rof,
+    sum_validate,
+    validate,
+    verify_against,
+)
 from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
 
 _VAR_RE = re.compile(r"^x(\d+)$")
@@ -143,6 +153,15 @@ def _scalars_csv(text: str, field: FieldDescriptor, count: int) -> List:
     return [parse_scalar(p, field) for p in parts]
 
 
+def _refuse_invalid(violations: List[Violation]) -> None:
+    """Refuse (exit 3) a formula that ``validate`` flags, such as one that
+    reads a variable twice."""
+    if violations:
+        raise PreconditionViolated(
+            "invalid formula: %s" % "; ".join(v.detail for v in violations)
+        )
+
+
 def _emit(obj) -> int:
     print(json.dumps(obj))
     return 0
@@ -156,6 +175,7 @@ def _cmd_parse(args, field) -> int:
 
 def _cmd_eval(args, field) -> int:
     rof = parse_rof(_read_arg(args.rof), field)
+    _refuse_invalid(validate(rof))
     print(format_poly(evaluate(rof)))
     return 0
 
@@ -260,6 +280,7 @@ def _cmd_oracle(args, field) -> int:
 def _cmd_verify(args, field) -> int:
     target = parse_poly_text(_read_arg(args.target), field)
     ropsum = _parse_rofsum_text(_read_arg(args.rofsum), field, target.n)
+    _refuse_invalid(sum_validate(ropsum))
     return _emit({"equal": verify_against(ropsum, target)})
 
 

@@ -20,8 +20,10 @@ On top of that sit the certified decisions for sums of two read-once
 formulas on four variables: the restriction-linearity check (C1'), the
 derivative linear-dependence check (C2'), and the complete closed-form
 decision ``family4_decide`` for the weighted quadratic family, which
-either emits a verified two-formula witness or returns the three
-discriminants d_1, d_2, d_3 none of which has a square root.
+either emits a verified two-formula witness or returns the discriminant
+d_1 = d_2 = d_3, which has no square root.  Its witnesses are built on
+their final variables and re-checked with the formula builders of
+:mod:`ropsum.decompose`.
 
 The recognizer works directly on a polynomial's raw coefficient map
 (mask -> Fraction, or int in [0, p)) with its field descriptor's
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from .decompose import _bivariate_rof, _mono_chain, _verified
 from .errors import (
     CharacteristicTwo,
     PreconditionViolated,
@@ -57,8 +60,6 @@ from .rof import (
     RopSum,
     evaluate,
     print_rof,
-    relabel_variables,
-    verify_against,
 )
 from .scalars import FieldDescriptor, FieldElem, sqrt_in_field
 
@@ -165,72 +166,48 @@ def _factor_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _is_rop_raw(
-    coeffs: Dict[int, object],
-    field: FieldDescriptor,
-    cache: Dict[frozenset, Optional[Rof]],
-) -> Optional[Rof]:
-    key = frozenset(coeffs.items())
-    hit = cache.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
-
+def _is_rop_raw(coeffs: Dict[int, object], field: FieldDescriptor) -> Optional[Rof]:
     vmask = 0
     for m in coeffs:
         vmask |= m
-
-    result: Optional[Rof]
     if vmask == 0:
         # A bare constant: realized on a zero-scaled leaf of x1.
-        result = Leaf(1, field.zero(), field.elem(coeffs.get(0, 0)))
-    elif vmask.bit_count() == 1:
-        var = vmask.bit_length()
+        return Leaf(1, field.zero(), field.elem(coeffs.get(0, 0)))
+    if vmask.bit_count() == 1:
         alpha = field.elem(coeffs.get(vmask, 0))
         beta = field.elem(coeffs.get(0, 0))
-        result = Leaf(var, alpha, beta)
-    else:
-        edges = _edges(coeffs)
-        comps = _partition(_bits(vmask), lambda bi, bj: (bi, bj) in edges)
-        if len(comps) > 1:
-            result = _additive_split(coeffs, comps, field, cache)
-        else:
-            result = _multiplicative_split(coeffs, edges, field, cache)
-
-    cache[key] = result
-    return result
-
-
-_MISS = object()
+        return Leaf(vmask.bit_length(), alpha, beta)
+    edges = _edges(coeffs)
+    comps = _partition(_bits(vmask), lambda bi, bj: (bi, bj) in edges)
+    if len(comps) > 1:
+        # each monomial lies in one component; the constant joins the first
+        parts = [{m: c for m, c in coeffs.items() if m & comp} for comp in comps]
+        if 0 in coeffs:
+            parts[0][0] = coeffs[0]
+        return _gate_chain(parts, ADD, field.zero(), field)
+    return _multiplicative_split(coeffs, edges, field)
 
 
-def _additive_split(coeffs, comps, field, cache) -> Optional[Rof]:
-    parts: List[Dict[int, object]] = [dict() for _ in comps]
-    index = {}
-    for idx, comp in enumerate(comps):
-        for b in _bits(comp):
-            index[b] = idx
-    for m, c in coeffs.items():
-        if m == 0:
-            continue
-        parts[index[m & -m]][m] = c
-    const = coeffs.get(0)
-    if const is not None:
-        parts[0][0] = const
-
-    summands = []
+def _gate_chain(
+    parts: List[Dict[int, object]], op: str, beta: FieldElem, field: FieldDescriptor
+) -> Optional[Rof]:
+    """op(w_1, op(w_2, ... op(w_k-1, w_k))) + beta over the witnesses w_i
+    of two or more parts, with unit scales; None if a part is not
+    read-once."""
+    witnesses = []
     for part in parts:
-        w = _is_rop_raw(part, field, cache)
+        w = _is_rop_raw(part, field)
         if w is None:
             return None
-        summands.append(w)
-    tree = summands[-1]
+        witnesses.append(w)
     one, zero = field.one(), field.zero()
-    for w in reversed(summands[:-1]):
-        tree = Gate(ADD, one, zero, w, tree)
-    return tree
+    tree = witnesses[-1]
+    for w in reversed(witnesses[1:-1]):
+        tree = Gate(op, one, zero, w, tree)
+    return Gate(op, one, beta, witnesses[0], tree)
 
 
-def _multiplicative_split(coeffs, edges, field, cache) -> Optional[Rof]:
+def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
     """A top multiplication gate for a polynomial with a connected
     interaction graph, or None if it has none.
 
@@ -261,19 +238,9 @@ def _multiplicative_split(coeffs, edges, field, cache) -> Optional[Rof]:
         factors = _factor_blocks(shifted, field)
         if len(factors) < 2:
             continue
-        witnesses = []
-        for f in factors:
-            w = _is_rop_raw(f, field, cache)
-            if w is None:
-                break
-            witnesses.append(w)
-        if len(witnesses) != len(factors):
-            continue
-        one, zero = field.one(), field.zero()
-        tree = witnesses[-1]
-        for w in reversed(witnesses[1:-1]):
-            tree = Gate(MUL, one, zero, w, tree)
-        return Gate(MUL, one, field.elem(betahat), witnesses[0], tree)
+        tree = _gate_chain(factors, MUL, field.elem(betahat), field)
+        if tree is not None:
+            return tree
     return None
 
 
@@ -286,7 +253,7 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
     """
     if p.n < 1:
         raise PreconditionViolated("recognition needs a variable range of n >= 1")
-    witness = _is_rop_raw(p.coeffs, p.field, {})
+    witness = _is_rop_raw(p.coeffs, p.field)
     if witness is not None and evaluate(witness, p.n) != p:
         raise RopsumError("internal: recognition witness failed re-evaluation")
     return witness
@@ -395,8 +362,9 @@ class Sum2Decision:
     """Certificate for the can-it-be-a-sum-of-two-read-once-formulas question.
 
     ``expressible`` carries a verified witness and the condition that
-    failed; ``not_expressible`` carries the three discriminants, none of
-    which has a square root in the field; ``inconclusive`` carries a reason.
+    failed; ``not_expressible`` carries the three discriminants, which are
+    one value with no square root in the field; ``inconclusive`` carries a
+    reason.
     """
 
     outcome: str  # "expressible" | "not_expressible" | "inconclusive"
@@ -427,24 +395,6 @@ class Sum2Decision:
         return out
 
 
-def _mono_pair_rof(scale: FieldElem, pair1, pair2) -> Rof:
-    """scale * (x_a x_b + x_c x_d) as a single read-once tree."""
-    field = scale.field
-    one, zero = field.one(), field.zero()
-
-    def mono(pair):
-        u, v = pair
-        return Gate(MUL, one, zero, Leaf(u, one, zero), Leaf(v, one, zero))
-
-    return Gate(ADD, scale, zero, mono(pair1), mono(pair2))
-
-
-_IDENTITY = {1: 1, 2: 2, 3: 3, 4: 4}
-_SWAP23 = {1: 1, 2: 3, 3: 2, 4: 4}
-_SWAP24 = {1: 1, 2: 4, 3: 3, 4: 2}
-_SWAP34 = {1: 1, 2: 2, 3: 4, 4: 3}
-
-
 def family_delta_roots(
     alpha: FieldElem, beta: FieldElem, gamma: FieldElem
 ) -> List[FieldElem]:
@@ -452,17 +402,15 @@ def family_delta_roots(
 
     This is the equation a linear factor x_3 - t*x_4 of the (1,2)
     commutator of the family polynomial must satisfy; its discriminant is
-    the first of the three decision discriminants.
+    the decision discriminant d_1.
     """
     field = alpha.field
     if field.characteristic == 2:
         raise CharacteristicTwo("root formula divides by 2")
     if beta.is_zero() or gamma.is_zero():
         raise PreconditionViolated("coefficient product beta*gamma must be nonzero")
-    a2 = alpha * alpha
-    mid = a2 - beta * beta - gamma * gamma
-    d1 = mid * mid - (2 * beta * gamma) * (2 * beta * gamma)
-    tau = sqrt_in_field(d1)
+    mid = alpha * alpha - beta * beta - gamma * gamma
+    tau = sqrt_in_field(_family_discriminant(alpha, beta, gamma))
     if tau is None:
         return []
     denom = 2 * beta * gamma
@@ -472,13 +420,12 @@ def family_delta_roots(
     return [first, (mid - tau) / denom]
 
 
-def _family_discriminants(a: FieldElem, b: FieldElem, c: FieldElem):
+def _family_discriminant(a: FieldElem, b: FieldElem, c: FieldElem) -> FieldElem:
+    """The decision discriminant d_1 = d_2 = d_3: d_1 =
+    (a^2 - b^2 - c^2)^2 - (2bc)^2 and its two permutations all expand to
+    the symmetric a^4 + b^4 + c^4 - 2(a^2 b^2 + b^2 c^2 + c^2 a^2)."""
     a2, b2, c2 = a * a, b * b, c * c
-    two = a.field.elem(2)
-    d1 = (a2 - b2 - c2) * (a2 - b2 - c2) - (two * b * c) * (two * b * c)
-    d2 = (b2 - a2 - c2) * (b2 - a2 - c2) - (two * a * c) * (two * a * c)
-    d3 = (c2 - a2 - b2) * (c2 - a2 - b2) - (two * a * b) * (two * a * b)
-    return d1, d2, d3
+    return a2 * a2 + b2 * b2 + c2 * c2 - 2 * (a2 * b2 + b2 * c2 + c2 * a2)
 
 
 def family4_decide(
@@ -489,11 +436,11 @@ def family4_decide(
 
     Outcomes follow the three conditions in order: a zero weight (C1
     fails) splits the defining expression itself; equal squared weights
-    (C2 fails) give the product-of-binomials witness after normalizing the
-    equal pair into the first two positions by a variable transposition;
-    a square root of some discriminant (C3 fails) drives the two-binomial
-    construction with delta and mu.  Otherwise the polynomial is not a sum
-    of two read-once formulas, certified by (d1, d2, d3).
+    (C2 fails) give a product of binomials plus one weighted matching, on
+    the variable pairs that the equal pair of weights picks; a square root
+    of the discriminant (C3 fails) drives the two-binomial construction
+    with delta and mu.  Otherwise the polynomial is not a sum of two
+    read-once formulas, certified by (d1, d2, d3), which are equal.
 
     Every witness is verified by exact re-evaluation before it is returned.
     """
@@ -506,89 +453,68 @@ def family4_decide(
     target = family4(a, b, c, field)
     one, zero = field.one(), field.zero()
 
-    def finish(summands, branch, perm=_IDENTITY, tau=None, delta=None, mu=None):
-        if perm is not _IDENTITY:
-            summands = [relabel_variables(r, perm) for r in summands]
-        witness = RopSum(field, 4, tuple(summands))
-        if not verify_against(witness, target):
-            raise RopsumError("internal: family witness failed re-evaluation")
-        return Sum2Decision(
-            outcome="expressible",
-            branch=branch,
-            witness=witness,
+    def finish(summands, branch, **params):
+        witness = _verified(summands, target)
+        return Sum2Decision("expressible", branch, witness, **params)
+
+    def matching(w, u, v):
+        """w * (x_u1 x_u2 + x_v1 x_v2) for the variable pairs u and v."""
+        return Gate(ADD, w, zero, _mono_chain(u, one, zero), _mono_chain(v, one, zero))
+
+    def binomials(w, u, s, v, t):
+        """w * (x_u1 + s x_u2) * (x_v1 + t x_v2) for the variable pairs u and v."""
+        return Gate(
+            MUL,
+            w,
+            zero,
+            _bivariate_rof(*u, zero, one, s, zero),
+            _bivariate_rof(*v, zero, one, t, zero),
+        )
+
+    # C1: all three weights nonzero?
+    if a.is_zero() or b.is_zero() or c.is_zero():
+        groups = [(a, (1, 2), (3, 4)), (b, (1, 3), (2, 4)), (c, (1, 4), (2, 3))]
+        summands = [matching(w, u, v) for w, u, v in groups if not w.is_zero()]
+        return finish(summands, "C1-false")
+
+    # C2: pairwise distinct squared weights?  On failure, with pa^2 = pb^2
+    # and s = pb/pa = +-1, the family is
+    # pa (x_u1 + s x_u2)(x_v1 + s x_v2) + pc (x_u1 x_u2 + x_v1 x_v2).
+    for u, v, (pa, pb, pc) in (
+        ((1, 4), (2, 3), (a, b, c)),
+        ((1, 2), (4, 3), (c, b, a)),
+        ((1, 3), (2, 4), (a, c, b)),
+    ):
+        if pa * pa != pb * pb:
+            continue
+        sign = one if pa == pb else -one
+        return finish(
+            [binomials(pa, u, sign, v, sign), matching(pc, u, v)],
+            "C2-false",
+        )
+
+    # C3: no square root of the discriminant?
+    d = _family_discriminant(a, b, c)
+    tau = sqrt_in_field(d)
+    if tau is not None:
+        delta = (a * a - b * b - c * c + tau) / (2 * b * c)
+        mu = -(c + b * delta) / a
+        if delta.is_zero() or mu.is_zero():
+            raise RopsumError("internal: degenerate root in the C3 construction")
+        return finish(
+            [
+                binomials(a, (1, 3), -mu, (2, 4), -mu.inverse()),
+                binomials(b, (1, 2), -delta, (3, 4), -delta.inverse()),
+            ],
+            "C3-false",
             tau=tau,
             delta=delta,
             mu=mu,
         )
 
-    # C1: all three weights nonzero?
-    if a.is_zero() or b.is_zero() or c.is_zero():
-        groups = [
-            (a, (1, 2), (3, 4)),
-            (b, (1, 3), (2, 4)),
-            (c, (1, 4), (2, 3)),
-        ]
-        summands = [
-            _mono_pair_rof(w, p1, p2) for w, p1, p2 in groups if not w.is_zero()
-        ]
-        return finish(summands, "C1-false")
-
-    # C2: pairwise distinct squared weights?  On failure, a transposition
-    # moves the equal-square pair into the first two weight positions.
-    if a * a == b * b:
-        perm, pa, pb, pc = _IDENTITY, a, b, c
-    elif b * b == c * c:
-        perm, pa, pb, pc = _SWAP24, c, b, a
-    elif c * c == a * a:
-        perm, pa, pb, pc = _SWAP34, a, c, b
-    else:
-        perm = None
-    if perm is not None:
-        sign = one if pa == pb else -one
-        rof1 = Gate(
-            MUL,
-            pa,
-            zero,
-            Gate(ADD, one, zero, Leaf(1, one, zero), Leaf(4, sign, zero)),
-            Gate(ADD, one, zero, Leaf(2, one, zero), Leaf(3, sign, zero)),
-        )
-        rof2 = _mono_pair_rof(pc, (1, 4), (2, 3))
-        return finish([rof1, rof2], "C2-false", perm)
-
-    # C3: no discriminant has a square root?
-    d1, d2, d3 = _family_discriminants(a, b, c)
-    for d, perm, params in (
-        (d1, _IDENTITY, (a, b, c)),
-        (d2, _SWAP23, (b, a, c)),
-        (d3, _SWAP24, (c, b, a)),
-    ):
-        tau = sqrt_in_field(d)
-        if tau is None:
-            continue
-        pa, pb, pc = params
-        delta = (pa * pa - pb * pb - pc * pc + tau) / (2 * pb * pc)
-        mu = -(pc + pb * delta) / pa
-        if delta.is_zero() or mu.is_zero():
-            raise RopsumError("internal: degenerate root in the C3 construction")
-        rof1 = Gate(
-            MUL,
-            pa,
-            zero,
-            Gate(ADD, one, zero, Leaf(1, one, zero), Leaf(3, -mu, zero)),
-            Gate(ADD, one, zero, Leaf(2, one, zero), Leaf(4, -mu.inverse(), zero)),
-        )
-        rof2 = Gate(
-            MUL,
-            pb,
-            zero,
-            Gate(ADD, one, zero, Leaf(1, one, zero), Leaf(2, -delta, zero)),
-            Gate(ADD, one, zero, Leaf(3, one, zero), Leaf(4, -delta.inverse(), zero)),
-        )
-        return finish([rof1, rof2], "C3-false", perm, tau=tau, delta=delta, mu=mu)
-
     return Sum2Decision(
         outcome="not_expressible",
-        d=(d1, d2, d3),
+        d=(d, d, d),
         note="all three conditions hold; no sum of two read-once formulas exists",
     )
 
@@ -606,21 +532,9 @@ def sum2_refute(g: MultilinearPoly) -> Sum2Decision:
     """
     if g.n != 4:
         raise WrongArity("the decision operates on 4-variable polynomials")
-    quad_pairs = ((0b0011, 0b1100), (0b0101, 0b1010), (0b1001, 0b0110))
-    weights = []
-    is_family = True
-    for m1, m2 in quad_pairs:
-        c1, c2 = g.coeff(m1), g.coeff(m2)
-        if c1 != c2:
-            is_family = False
-            break
-        weights.append(c1)
-    if is_family:
-        allowed = {m for pair in quad_pairs for m in pair}
-        if any(m not in allowed for m in g.coeffs):
-            is_family = False
-    if is_family:
-        return family4_decide(weights[0], weights[1], weights[2], g.field)
+    a, b, c = g.coeff(0b0011), g.coeff(0b0101), g.coeff(0b1001)
+    if g == family4(a, b, c, g.field):
+        return family4_decide(a, b, c, g.field)
 
     c1 = check_c1prime(g)
     if c1 is not None:

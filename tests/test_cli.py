@@ -249,7 +249,10 @@ def test_check2rop_large_prime_is_fast(capsys):
 
 def test_deep_formula_eval_and_verify(capsys, tmp_path):
     # a left-deep chain of 2,000 add gates over x1..x30, deeper than the
-    # recursion limit: an answer with exit 0, not a traceback
+    # recursion limit, reads each variable many times: eval and verify
+    # refuse it with exit 3, not a traceback.  A read-once formula this deep
+    # needs more than the 30 variables the cap allows; test_rof covers the
+    # library walks on one.
     depth = 2000
     leaves = [1] + [k % 30 + 1 for k in range(depth)]
     path = tmp_path / "deep.rof"
@@ -259,12 +262,30 @@ def test_deep_formula_eval_and_verify(capsys, tmp_path):
         + "".join(" (leaf (1 0) x%d))" % v for v in leaves[1:])
     )
     target = " + ".join("%d*x%d" % (leaves.count(v), v) for v in range(1, 31))
-    code, out, _ = run(capsys, "eval", str(path))
-    assert code == 0 and parse_poly_text(out, QQ) == parse_poly_text(target, QQ)
-    code, out, _ = run(capsys, "verify", "--target", target, str(path))
+    repeat = "x1 labels %d leaves" % leaves.count(1)
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == 3 and out == "" and repeat in err
+    code, out, err = run(capsys, "verify", "--target", target, str(path))
+    assert code == 3 and out == "" and repeat in err
+
+
+def test_cmd_eval_refuses_a_repeated_variable_under_add(capsys):
+    # a variable read twice is refused whichever gate joins its two leaves
+    code, out, err = run(capsys, "eval", "(add (1 0) (leaf (1 0) x1) (leaf (1 0) x1))")
+    assert code == 3 and out == "" and "x1 labels 2 leaves" in err
+    code, out, err = run(capsys, "eval", "(mul (1 0) (leaf (1 0) x1) (leaf (1 0) x1))")
+    assert code == 3 and out == ""
+
+
+def test_cmd_verify_refuses_a_repeated_variable_under_add(capsys):
+    # a summand that reads x1 twice is no sum of read-once formulas, even
+    # though it expands to the target; distinct summands may share x1
+    rofs = ["(leaf (1 0) x2)", "(add (1 0) (leaf (1 0) x1) (leaf (1 0) x1))"]
+    code, out, err = run(capsys, "verify", "--target", "2*x1 + x2", json.dumps(rofs))
+    assert code == 3 and out == "" and "summand 1: x1 labels 2 leaves" in err
+    rofs = ["(leaf (1 0) x2)", "(leaf (1 0) x1)", "(leaf (1 0) x1)"]
+    code, out, _ = run(capsys, "verify", "--target", "2*x1 + x2", json.dumps(rofs))
     assert code == 0 and json.loads(out) == {"equal": True}
-    code, out, _ = run(capsys, "verify", "--target", target + " + 1", str(path))
-    assert code == 0 and json.loads(out) == {"equal": False}
 
 
 def test_exit_code_eval_beyond_variable_cap(capsys):

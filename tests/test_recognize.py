@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_
 
 import pytest
@@ -16,6 +19,7 @@ from ropsum import (
     prime_field,
 )
 from ropsum import recognize
+from ropsum.oracle import enumerate_rops, min_k, pack
 from ropsum.recognize import (
     check_c1prime,
     check_c2prime,
@@ -535,3 +539,75 @@ def test_decision_json_shape():
     j = family4_decide(1, 2, 3).to_json_dict()
     assert j["outcome"] == "expressible" and len(j["witness"]) == 2
     assert j["params"] == {"tau": "0", "delta": "-1", "mu": "-1"}
+
+
+# -- pinned outputs of the family decision ------------------------------------
+#
+# Digests of the decisions' JSON, computed before the family witnesses were
+# built with decompose's formula builders; any change to a witness, a
+# parameter or a note changes them.
+
+PIN_FIELDS = [QQ, prime_field(3), prime_field(5), prime_field(7), prime_field(101)]
+PIN_WEIGHTS = range(-4, 5)
+FAMILY_DIGEST = "cbac73dbd8f7dae25bbb817bf4727f6a699c944f3d077408f4cd8fffea44a3c9"
+NEAR_MISS_DIGEST = "eb8739ccd85f5782cd3b0650d078f74ec6556f1d5178a1effcf937139ae1a537"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_family_decisions_are_pinned():
+    lines, reached = [], set()
+    for field in PIN_FIELDS:
+        for a, b, c in product(PIN_WEIGHTS, repeat=3):
+            d = family4_decide(a, b, c, field)
+            lines.append(json.dumps([str(field), a, b, c, d.to_json_dict()]))
+            if d.branch == "C2-false":
+                # which equal-square pair C2 picks: (a, b), (b, c) or (c, a)
+                a2, b2, c2 = (field.elem(w) * field.elem(w) for w in (a, b, c))
+                reached.add((d.branch, [a2 == b2, b2 == c2, c2 == a2].index(True)))
+            else:
+                reached.add((d.branch, d.outcome))
+    # d_1 = d_2 = d_3, so C3 has one construction to reach
+    assert reached == {
+        ("C1-false", "expressible"),
+        ("C2-false", 0),
+        ("C2-false", 1),
+        ("C2-false", 2),
+        ("C3-false", "expressible"),
+        (None, "not_expressible"),
+    }
+    assert _digest(lines) == FAMILY_DIGEST
+
+
+def test_sum2_refute_near_misses_are_pinned():
+    # one more x_S on a family polynomial: an extra monomial for the ten S
+    # outside the family's support, an unequal pair for the six inside it;
+    # neither is the family shape, so neither reaches family4_decide
+    lines = []
+    for field in PIN_FIELDS:
+        for a, b, c in product((-2, 0, 1, 3), repeat=3):
+            g = family4(a, b, c, field)
+            for m in range(16):
+                d = sum2_refute(g + P(4, {m: 1}, field))
+                assert d.outcome == "inconclusive"
+                lines.append(json.dumps([str(field), a, b, c, m, d.to_json_dict()]))
+    assert _digest(lines) == NEAR_MISS_DIGEST
+
+
+def test_family_decision_agrees_with_the_oracle_on_f3():
+    # expressible exactly when the exhaustive search finds at most two
+    # summands, and never with fewer summands than it proves necessary
+    F3 = prime_field(3)
+    cls = enumerate_rops(3, 4)
+    found = Counter()
+    for a, b, c in product(range(3), repeat=3):
+        target = family4(a, b, c, F3)
+        k = min_k(pack(target), cls, 2)
+        d = family4_decide(a, b, c, F3)
+        found[k] += 1
+        assert (d.outcome == "expressible") == (k is not None)
+        # the zero target is the empty sum; the search starts at k = 1
+        assert len(d.witness.summands) >= (0 if target.is_zero() else k)
+    assert found == {1: 19, 2: 8}
