@@ -27,17 +27,17 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import IndexOutOfRange, ParseError, PreconditionError, PreconditionViolated
+from .errors import IndexOutOfRange, ParseError, PreconditionError
 from .mpoly import MAX_VARIABLES, MultilinearPoly, commutator, format_poly, sparse_str
 from .oracle import closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import (
     RopSum,
-    Violation,
     evaluate,
     leaf_vars,
     parse_rof,
     print_rof,
+    refuse_invalid,
     sum_validate,
     validate,
     verify_against,
@@ -47,10 +47,8 @@ from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-def parse_poly_text(
-    text: str, field: FieldDescriptor, n: Optional[int] = None
-) -> MultilinearPoly:
-    """Parse polynomial text; ``n`` defaults to the highest variable used."""
+def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
+    """Parse polynomial text over x1..xn, n the highest variable used."""
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")
@@ -74,8 +72,6 @@ def parse_poly_text(
         if not chunk:
             raise ParseError("empty term in %r" % text)
         factors = [f.strip() for f in chunk.split("*")]
-        if len(factors) == 2 and factors[1] == "" and not _VAR_RE.match(factors[0]):
-            factors = factors[:1]  # "5*" form: a lone scalar with trailing star
         if any(f == "" for f in factors):
             raise ParseError("empty factor in term %r" % chunk)
         coeff = field.elem(sgn)
@@ -104,11 +100,7 @@ def parse_poly_text(
         prev = terms.get(mask)
         terms[mask] = coeff if prev is None else prev + coeff
 
-    if n is None:
-        n = max(1, max_var)
-    elif max_var > n:
-        raise ParseError("term uses x%d beyond the declared n=%d" % (max_var, n))
-    return MultilinearPoly(n, field, terms)
+    return MultilinearPoly(max(1, max_var), field, terms)
 
 
 def _parse_field(spec: str) -> FieldDescriptor:
@@ -125,8 +117,11 @@ def _parse_field(spec: str) -> FieldDescriptor:
 
 def _read_arg(text: str) -> str:
     if os.path.exists(text) and os.path.isfile(text):
-        with open(text, "r") as fh:
-            return fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("file %r is not UTF-8 text: %s" % (text, exc)) from None
     return text
 
 
@@ -135,7 +130,7 @@ def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
     if stripped.startswith("["):
         try:
             entries = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError("malformed JSON sum of formulas: %s" % exc) from None
         if not all(isinstance(e, str) for e in entries):
             raise ParseError("a JSON sum of formulas must be an array of strings")
@@ -153,15 +148,6 @@ def _scalars_csv(text: str, field: FieldDescriptor, count: int) -> List:
     return [parse_scalar(p, field) for p in parts]
 
 
-def _refuse_invalid(violations: List[Violation]) -> None:
-    """Refuse (exit 3) a formula that ``validate`` flags, such as one that
-    reads a variable twice."""
-    if violations:
-        raise PreconditionViolated(
-            "invalid formula: %s" % "; ".join(v.detail for v in violations)
-        )
-
-
 def _emit(obj) -> int:
     print(json.dumps(obj))
     return 0
@@ -175,7 +161,7 @@ def _cmd_parse(args, field) -> int:
 
 def _cmd_eval(args, field) -> int:
     rof = parse_rof(_read_arg(args.rof), field)
-    _refuse_invalid(validate(rof))
+    refuse_invalid(validate(rof))
     print(format_poly(evaluate(rof)))
     return 0
 
@@ -280,7 +266,7 @@ def _cmd_oracle(args, field) -> int:
 def _cmd_verify(args, field) -> int:
     target = parse_poly_text(_read_arg(args.target), field)
     ropsum = _parse_rofsum_text(_read_arg(args.rofsum), field, target.n)
-    _refuse_invalid(sum_validate(ropsum))
+    refuse_invalid(sum_validate(ropsum))
     return _emit({"equal": verify_against(ropsum, target)})
 
 

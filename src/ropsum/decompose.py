@@ -357,7 +357,7 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
         raise RopsumError("internal: case-table residual is not a constant")
     # summands is empty only for the zero target, whose residual is zero
     if summands:
-        summands[0] = _with_beta(summands[0], residual.constant_term())
+        summands[0] = _with_beta(summands[0], residual.coeff(0))
     if len(summands) > 2:
         raise RopsumError("internal: more than two summands from the case table")
     return _verified(summands, target)

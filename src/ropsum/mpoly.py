@@ -117,12 +117,6 @@ class MultilinearPoly(_Poly):
             raise IndexOutOfRange("variable x%d outside 1..%d" % (i, n))
         return cls(n, field, {1 << (i - 1): 1})
 
-    @classmethod
-    def from_terms(
-        cls, n: int, field: FieldDescriptor, terms: Dict[int, Scalar]
-    ) -> "MultilinearPoly":
-        return cls(n, field, terms)
-
     # -- basic queries -----------------------------------------------------
 
     def coeff(self, mask: int) -> FieldElem:
@@ -131,9 +125,6 @@ class MultilinearPoly(_Poly):
 
     def is_constant(self) -> bool:
         return all(m == 0 for m in self.coeffs)
-
-    def constant_term(self) -> FieldElem:
-        return self.coeff(0)
 
     def var_mask(self) -> int:
         mask = 0

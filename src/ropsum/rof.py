@@ -147,20 +147,6 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     return values[0]
 
 
-def relabel_variables(rof: Rof, mapping: Dict[int, int]) -> Rof:
-    """A copy of the tree with leaf variables renamed through ``mapping``;
-    variables absent from the mapping keep their index."""
-    done: List[Rof] = []
-    for node in _post_order(rof):
-        if isinstance(node, Leaf):
-            done.append(Leaf(mapping.get(node.var, node.var), node.alpha, node.beta))
-        else:
-            right = done.pop()
-            left = done.pop()
-            done.append(Gate(node.op, node.alpha, node.beta, left, right))
-    return done[0]
-
-
 def is_multiplicative_structural(rof: Rof) -> bool:
     """True iff the tree contains no addition gate."""
     return not any(
@@ -183,10 +169,13 @@ def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
     return True
 
 
-def _require_valid(rof: Rof):
-    violations = validate(rof)
+def refuse_invalid(violations: List[Violation]) -> None:
+    """Refuse a formula that ``validate`` or ``sum_validate`` flags, such as
+    one that reads a variable twice."""
     if violations:
-        raise PreconditionViolated("invalid formula: %s" % (violations,))
+        raise PreconditionViolated(
+            "invalid formula: %s" % "; ".join(v.detail for v in violations)
+        )
 
 
 def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
@@ -196,7 +185,7 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     j is the smallest variable in the sibling subtree of x_i's leaf and
     gamma = -beta/alpha from that leaf's labels; the identity is exact.
     """
-    _require_valid(rof)
+    refuse_invalid(validate(rof))
     if not is_multiplicative_structural(rof):
         raise NotMultiplicative("formula contains an addition gate")
     all_vars = leaf_vars(rof)
@@ -233,7 +222,7 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
     any value for a variable of the bivariate side works (we pick 0); under
     a multiplication gate the univariate factor is zeroed at -beta/alpha.
     """
-    _require_valid(rof)
+    refuse_invalid(validate(rof))
     vars_present = leaf_vars(rof)
     if len(vars_present) < 3:
         raise TooFewVariables("need exactly 3 variables, got %d" % len(vars_present))

@@ -204,9 +204,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.elem(other)

@@ -100,7 +100,7 @@ def test_criterion_1_family_decisions():
             return MultilinearPoly(4, QQ, coeffs)
 
         def pairsum(c, m1, m2):
-            return MultilinearPoly.from_terms(4, QQ, {m1: c, m2: c})
+            return MultilinearPoly(4, QQ, {m1: c, m2: c})
 
         cases = [
             (
@@ -181,7 +181,7 @@ def test_criterion_4_derivative_and_multiplicativity_suites(
             for packed_evals, has_plus, _is_const in summaries:
                 mask = f2_evals_to_coeff_mask(packed_evals, n)
                 coeffs = {m: 1 for m in range(1 << n) if (mask >> m) & 1}
-                p = MultilinearPoly.from_terms(n, F2, coeffs)
+                p = MultilinearPoly(n, F2, coeffs)
                 var_list = p.variables()
                 assert set(var_list) <= allowed
                 semantic = all(

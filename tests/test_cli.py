@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from ropsum import QQ, prime_field
+from ropsum import QQ, MultilinearPoly, prime_field
 from ropsum.cli import main, parse_poly_text
 from ropsum.errors import ParseError
-from ropsum.mpoly import format_poly
+from ropsum.mpoly import elementary_symmetric, format_poly
 from ropsum.rof import parse_rof
 
 from helpers import random_poly
@@ -48,8 +48,9 @@ def test_parse_poly_rejects_repeated_variable_in_term():
 
 
 def test_parse_poly_rejects_trailing_scalar():
-    with pytest.raises(ParseError):
-        parse_poly_text("x1*3", QQ)
+    for bad in ("x1*3", "5*"):
+        with pytest.raises(ParseError):
+            parse_poly_text(bad, QQ)
 
 
 def test_parse_poly_round_trip_random():
@@ -129,6 +130,29 @@ def test_cmd_decompose_pairing_and_verify(capsys, tmp_path):
     rofsum_file.write_text("\n".join(payload["rofs"]))
     code, out, _ = run(capsys, "verify", "--target", poly, str(rofsum_file))
     assert code == 0 and json.loads(out) == {"equal": True}
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:5"])
+def test_cmd_decompose_sympoly4_and_verify(capsys, spec):
+    field = QQ if spec == "q" else prime_field(5)
+    # one coefficient row for each of the four cases of the table
+    for coeffs in [(2, 3, 0, 0, 4), (0, 1, 0, 1, 0), (1, 1, 1, 1, 1), (1, 2, 3, 4, 1)]:
+        target = MultilinearPoly.zero(4, field)
+        for k, c in enumerate(coeffs):
+            target = target + elementary_symmetric(4, k, field).scale(c)
+        strategy = "sympoly4:" + ",".join(map(str, coeffs))
+        code, out, _ = run(capsys, "decompose", "--field", spec, "--strategy", strategy)
+        payload = json.loads(out)
+        assert code == 0 and payload["verified"] and payload["count"] <= 2
+        code, out, _ = run(
+            capsys, "verify", "--field", spec, "--target=" + format_poly(target),
+            json.dumps(payload["rofs"]),
+        )
+        assert code == 0 and json.loads(out) == {"equal": True}
+    code, out, err = run(
+        capsys, "decompose", "--field", "fp:2", "--strategy", "sympoly4:1,1,1,1,1"
+    )
+    assert code == 3 and out == "" and "precondition" in err
 
 
 def test_cmd_verify_json_list_and_mismatch(capsys, tmp_path):
@@ -309,6 +333,20 @@ def test_exit_code_huge_variable_index(capsys):
 def test_exit_code_verify_malformed_json(capsys):
     code, _, err = run(capsys, "verify", "--target", "x1", "[1,2")
     assert code == 2 and "parse error" in err
+
+
+def test_exit_code_verify_deeply_nested_json(capsys):
+    # json.loads gives up on nesting past the recursion limit
+    nested = "[" * 1000 + "]" * 1000
+    code, out, err = run(capsys, "verify", "--target", "x1", nested)
+    assert code == 2 and out == "" and "parse error" in err
+
+
+def test_exit_code_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "poly.txt"
+    path.write_bytes(b"\xff\xfe x1")
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 2 and out == "" and "not UTF-8" in err
 
 
 def test_exit_code_verify_json_entry_not_a_string(capsys):

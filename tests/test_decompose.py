@@ -22,7 +22,7 @@ F5 = prime_field(5)
 
 
 def P(n, terms, field=QQ):
-    return MultilinearPoly.from_terms(n, field, terms)
+    return MultilinearPoly(n, field, terms)
 
 
 def assert_good(s, target, max_count):

@@ -33,8 +33,8 @@ def test_univariate_class_is_all_affine():
 def test_bivariate_class_is_everything():
     cls = enumerate_rops(2, 2)
     assert len(cls) == 16
-    x1x2 = pack(MultilinearPoly.from_terms(2, F2, {0b11: 1}))
-    x1px2 = pack(MultilinearPoly.from_terms(2, F2, {0b01: 1, 0b10: 1}))
+    x1x2 = pack(MultilinearPoly(2, F2, {0b11: 1}))
+    x1px2 = pack(MultilinearPoly(2, F2, {0b01: 1, 0b10: 1}))
     assert x1x2.value in cls and x1px2.value in cls
 
 
@@ -61,12 +61,12 @@ def test_pack_needs_prime_field():
     from ropsum import QQ
 
     with pytest.raises(ParameterMismatch):
-        pack(MultilinearPoly.from_terms(2, QQ, {0b01: 1}))
+        pack(MultilinearPoly(2, QQ, {0b01: 1}))
 
 
 def test_min_k_monomial_is_one():
     cls = enumerate_rops(2, 3)
-    t = pack(MultilinearPoly.from_terms(3, F2, {0b011: 1}))
+    t = pack(MultilinearPoly(3, F2, {0b011: 1}))
     assert min_k(t, cls, 3) == 1
 
 
@@ -104,7 +104,7 @@ def test_enumeration_feasibility_table():
 def test_odd_prime_class_contains_and_excludes():
     cls = enumerate_rops(3, 3)
     F3 = prime_field(3)
-    mono = pack(MultilinearPoly.from_terms(3, F3, {0b111: 2}))
+    mono = pack(MultilinearPoly(3, F3, {0b111: 2}))
     assert mono.value in cls
     s32 = pack(elementary_symmetric(3, 2, F3))
     assert s32.value not in cls

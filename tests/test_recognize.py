@@ -39,7 +39,7 @@ F7 = prime_field(7)
 
 
 def P(n, terms, field=QQ):
-    return MultilinearPoly.from_terms(n, field, terms)
+    return MultilinearPoly(n, field, terms)
 
 
 # -- interaction graph -------------------------------------------------------
