@@ -245,11 +245,9 @@ def _cmd_oracle(args, field) -> int:
     target = None
     if args.min_k is not None:  # a bad target is refused before any enumeration
         target = parse_poly_text(_read_arg(args.min_k), field)
-        if target.n < args.n:
-            target = target.with_n(args.n)
     cls = enumerate_rops(field.p, args.n)
-    if target is not None:
-        return _emit({"min_k": min_k(pack(target), cls, args.kmax)})
+    if target is not None:  # fitted to the class before packing p^(2^n) digits
+        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, args.kmax)})
     if args.closure_report:
         rep = closure_report(cls)
         return _emit(

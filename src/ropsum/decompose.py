@@ -97,8 +97,6 @@ def _verified(summands: List[Rof], target: MultilinearPoly) -> RopSum:
 
 def pair_monomials(p: MultilinearPoly) -> RopSum:
     """Pair up monomials: at most ceil(M/2) summands for M monomials."""
-    if p.is_zero():
-        raise PreconditionViolated("monomial pairing needs a nonzero polynomial")
     if p.n < 1:
         raise PreconditionViolated("monomial pairing needs a variable range of n >= 1")
     field = p.field
@@ -255,10 +253,10 @@ def symmetric_halves(
 ) -> RopSum:
     """The tight decomposition of alpha*S_n^n + beta*S_n^{n-1}.
 
-    For even n this is the explicit half-pairing: summand i couples
-    (x_{2i-1} + x_{2i}) with the product of the other variables, the last
-    summand absorbing the top coefficient.  Odd n falls back to monomial
-    pairing, which meets the same ceil(n/2) bound.
+    Summand i < ceil(n/2) couples (x_{2i-1} + x_{2i}) with the product of
+    the other variables.  The last covers the one or two variables left:
+    x_1...x_{n-1} * (alpha*x_n + beta) for odd n, and for even n
+    x_1...x_{n-2} times a bivariate formula in x_{n-1} and x_n.
     """
     if n < 1:
         raise PreconditionViolated("need n >= 1")
@@ -267,16 +265,10 @@ def symmetric_halves(
     b = field.elem(beta)
     target = m_poly(n, a, b, field)
 
-    if n % 2 == 1:
-        if target.is_zero():
-            return RopSum(field, n, ())
-        return pair_monomials(target)
-
     one, zero = field.one(), field.zero()
-    k = n // 2
     summands: List[Rof] = []
     if not b.is_zero():
-        for i in range(1, k):
+        for i in range(1, (n + 1) // 2):
             pair = Gate(
                 ADD,
                 one,
@@ -286,9 +278,12 @@ def symmetric_halves(
             )
             rest = [v for v in range(1, n + 1) if v not in (2 * i - 1, 2 * i)]
             summands.append(Gate(MUL, b, zero, pair, _mono_chain(rest, one, zero)))
-    closer = _bivariate_rof(n - 1, n, zero, b, b, a)
+    if n % 2:
+        closer = None if a.is_zero() and b.is_zero() else Leaf(n, a, b)
+    else:
+        closer = _bivariate_rof(n - 1, n, zero, b, b, a)
     if n > 2:
-        closer = _times_monomial(list(range(1, n - 1)), closer)
+        closer = _times_monomial(list(range(1, n - 1 + n % 2)), closer)
     if closer is not None:
         summands.append(closer)
     return _verified(summands, target)

@@ -219,6 +219,8 @@ class MultilinearPoly(_Poly):
 
     def with_n(self, n: int) -> "MultilinearPoly":
         """Re-declare the variable count (pad or shrink when unused)."""
+        if not (0 <= n <= MAX_VARIABLES):  # before 1 << n is built
+            raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
         if n == self.n:
             return self
         if n < self.n and self.var_mask() >= (1 << n):

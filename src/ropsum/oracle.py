@@ -23,8 +23,9 @@ Enumeration is single-threaded and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import InfeasibleParameters, ParameterMismatch, PreconditionViolated
 from .mpoly import MultilinearPoly
@@ -77,27 +78,23 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
 class RopClass:
     """The deduplicated set of read-once computable functions over F_p.
 
-    Two indexes are built once, on construction: the member set, and the
-    members grouped by their top-variable half.  A packed value is
-    ``lo + P*hi`` with ``P = p^(2^(n-1))``: ``lo`` is f at x_n = 0 and ``hi``
-    is the partial derivative by x_n.  Neither index assumes the class is
-    closed under anything or that ``members`` is sorted."""
+    ``members`` is sorted on construction, and two indexes are built: the
+    member set, and the members grouped by their top-variable half.  A
+    packed value is ``lo + P*hi`` with ``lo < P = p^(2^(n-1))``: ``lo`` is f
+    at x_n = 0 and ``hi`` the partial derivative by x_n, so each group is
+    one run of ``members``.  Neither index assumes the class is closed."""
 
     p: int
     n: int
-    members: Tuple[int, ...]  # sorted packed coefficient encodings
-    _member_set: frozenset = dataclass_field(init=False, repr=False, compare=False)
-    _by_hi: Dict[int, Tuple[int, ...]] = dataclass_field(
-        init=False, repr=False, compare=False
-    )
+    members: Tuple[int, ...]  # packed coefficient encodings, any order
 
     def __post_init__(self):
+        self.members = tuple(sorted(self.members))
         self._member_set = frozenset(self.members)
         half = self.p ** (1 << (self.n - 1))
-        groups: Dict[int, List[int]] = {}
-        for value in self.members:
-            groups.setdefault(value // half, []).append(value)
-        self._by_hi = {hi: tuple(group) for hi, group in groups.items()}
+        self._by_hi = {
+            hi: tuple(run) for hi, run in groupby(self.members, lambda v: v // half)
+        }
 
     def __contains__(self, packed_value: int) -> bool:
         return packed_value in self._member_set
@@ -119,8 +116,8 @@ def _submasks_with_lowest(u: int) -> Iterable[int]:
             return
 
 
-def _enumerate(p: int, n: int) -> List[int]:
-    """The sorted packed encodings of every read-once function over F_p.
+def _enumerate(p: int, n: int) -> Iterator[int]:
+    """The packed encodings of every read-once function over F_p.
 
     A dynamic program over variable subsets u: ``tables[u]`` holds, without
     their constant coefficient, the functions of formulas on u's variables;
@@ -170,7 +167,7 @@ def _enumerate(p: int, n: int) -> List[int]:
     if p != 2:
         digits = bytes.maketrans(bytes(range(p)), b"0123456789"[:p])
         top = [int(t.to_bytes(size, "big").translate(digits), p) for t in top]
-    return sorted(t + beta for t in top for beta in range(p))
+    return (t + beta for t in top for beta in range(p))
 
 
 def enumerate_rops(p: int, n: int) -> RopClass:
@@ -180,7 +177,7 @@ def enumerate_rops(p: int, n: int) -> RopClass:
         raise InfeasibleParameters(
             "supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3"
         )
-    return RopClass(p, n, tuple(_enumerate(p, n)))
+    return RopClass(p, n, _enumerate(p, n))
 
 
 # ---------------------------------------------------------------------------

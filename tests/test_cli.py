@@ -368,6 +368,16 @@ def test_oracle_min_k_target_is_parsed_before_the_class(capsys):
     assert code == 2 and out == "" and "parse error" in err
 
 
+def test_oracle_min_k_target_is_fitted_to_n_before_packing(capsys):
+    # packing x24 over F_3 as it stands would build a number near 3^(2^24)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--field", "fp:3", "--n", "2", "--min-k", "x24")
+    assert code == 3 and out == "" and "above x2" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "oracle", "--field", "fp:3", "--n", "2", "--min-k", "x1 + 0*x9")
+    assert code == 0 and json.loads(out) == {"min_k": 1}
+
+
 LONG_LITERAL = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
 
 

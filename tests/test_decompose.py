@@ -7,7 +7,6 @@ from ropsum import (
     QQ,
     CharacteristicTwo,
     MultilinearPoly,
-    PreconditionViolated,
     elementary_symmetric,
     m_poly,
     prime_field,
@@ -73,9 +72,10 @@ def test_pairing_respects_ceiling_bound():
         assert_good(s, p, math.ceil(len(p.coeffs) / 2))
 
 
-def test_pairing_rejects_zero():
-    with pytest.raises(PreconditionViolated):
-        pair_monomials(MultilinearPoly.zero(3, QQ))
+def test_pairing_of_zero_is_the_empty_sum():
+    zero = MultilinearPoly.zero(3, QQ)
+    s = pair_monomials(zero)
+    assert s.summands == () and verify_against(s, zero)
 
 
 # -- generic --------------------------------------------------------------------
@@ -158,6 +158,22 @@ def test_symmetric_halves_exact_count_up_to_twelve():
             s = symmetric_halves(n, a, b)
             assert len(s.summands) == math.ceil(n / 2)
             assert_good(s, m_poly(n, a, b), math.ceil(n / 2))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("field", [QQ, prime_field(3), prime_field(10007)], ids=str)
+def test_symmetric_halves_count_table(field, n):
+    # ceil(n/2) with beta != 0, one formula for alpha*S_n^n alone, and the
+    # empty sum for the zero target, at every parity
+    for a in (-1, 0, 1, 2):
+        for b in (-1, 0, 1, 2):
+            s = symmetric_halves(n, a, b, field)
+            if b:
+                expected = math.ceil(n / 2)
+            else:
+                expected = 1 if a else 0
+            assert len(s.summands) == expected, (a, b)
+            assert_good(s, m_poly(n, a, b, field), expected)
 
 
 def test_symmetric_halves_f2():

@@ -292,3 +292,11 @@ def test_format_round_trip_via_repr():
 def test_variable_count_cap():
     with pytest.raises(IndexOutOfRange):
         MultilinearPoly(31, QQ, {})
+
+
+def test_with_n_refuses_a_count_outside_the_range():
+    # checked before 1 << n is built, which a negative n cannot be
+    p = P(2, {0b11: 1})
+    for n in (-1, 31):
+        with pytest.raises(IndexOutOfRange, match="variable count %d outside" % n):
+            p.with_n(n)

@@ -229,13 +229,15 @@ def test_min_k_matches_reference_on_sampled_targets(
 )
 def test_min_k_assumes_no_closure_or_order(p, n, size):
     # a shuffled random subset of the universe is no read-once class: it is
-    # not closed under the affine maps and its members are not sorted; it
-    # is sparse enough that every answer from 1 to None occurs
+    # not closed under the affine maps and its members come shuffled, to be
+    # sorted on construction; it is sparse enough that every answer from 1
+    # to None occurs
     rng = random.Random(size)
     universe = p ** (1 << n)
     members = list(range(p)) + rng.sample(range(p, universe), size - p)
     rng.shuffle(members)
     cls = RopClass(p, n, tuple(members))
+    assert cls.members == tuple(sorted(members))
     for _ in range(30):
         if rng.random() < 0.5:
             value, planted = rng.randrange(universe), None

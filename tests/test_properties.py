@@ -145,7 +145,7 @@ argvs = st.one_of(
             st.just("--field"),
             st.sampled_from(["fp:2", "fp:4", "q"]),
             st.just("--n"),
-            st.sampled_from(["0", "1", "2", "3", "9"]),
+            st.sampled_from(["-1", "0", "1", "2", "3", "9"]),
             st.just("--kmax"),
             st.sampled_from(["0", "1", "2", "3"]),
         ).map(list),
