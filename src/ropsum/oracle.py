@@ -78,22 +78,28 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
 class RopClass:
     """The deduplicated set of read-once computable functions over F_p.
 
-    ``members`` is sorted on construction, and two indexes are built: the
-    member set, and the members grouped by their top-variable half.  A
-    packed value is ``lo + P*hi`` with ``lo < P = p^(2^(n-1))``: ``lo`` is f
-    at x_n = 0 and ``hi`` the partial derivative by x_n, so each group is
-    one run of ``members``.  Neither index assumes the class is closed."""
+    ``members`` is sorted on construction, and three indexes are built: the
+    member set, the members grouped by their top-variable half, and those
+    groups' keys grouped by their own top half.  A packed value is ``lo +
+    P*hi`` with ``lo < P = p^(2^(n-1))``: ``lo`` is f at x_n = 0 and ``hi``
+    the partial derivative by x_n, so each group is one run of ``members``.
+    A key splits at Q = p^(2^(n-2)) (1 at n = 1) the same way, its top half
+    being the ∂_{n-1}∂_n part.  No index assumes the class is closed."""
 
     p: int
     n: int
-    members: Tuple[int, ...]  # packed coefficient encodings, any order
+    members: Tuple[int, ...]  # packed coefficient encodings, sorted
 
     def __post_init__(self):
         self.members = tuple(sorted(self.members))
         self._member_set = frozenset(self.members)
-        half = self.p ** (1 << (self.n - 1))
+        self._half = half = self.p ** (1 << (self.n - 1))
+        self._quarter = quarter = self.p ** ((1 << self.n) >> 2)
         self._by_hi = {
             hi: tuple(run) for hi, run in groupby(self.members, lambda v: v // half)
+        }
+        self._by_top = {
+            top: tuple(run) for top, run in groupby(self._by_hi, lambda h: h // quarter)
         }
 
     def __contains__(self, packed_value: int) -> bool:
@@ -211,22 +217,37 @@ def _in_2s(t: int, cls: RopClass) -> bool:
     """Whether t is a sum of two members, by a join on the top variable.
 
     Digitwise, t = s + u exactly when t_hi = s_hi + u_hi and t_lo = s_lo +
-    u_lo, so a witness pair lies in hi-groups (a, t_hi - a) that both exist.
-    Each such unordered pair of groups is visited once, and the smaller
-    group is scanned for an s with t - s a member."""
+    u_lo, so a witness pair lies in hi-groups (a, t_hi - a) that both exist,
+    and the smaller group of such a pair is scanned for an s with t - s a
+    member.  The keys split the same way on x_{n-1}: a and t_hi - a lie in
+    key groups (c, t_top - c) that both exist, and only inside those pairs
+    are hi-groups looked up, from the smaller key group.  The pairs (α,
+    t_hi - α) for each constant α (a key below p) go first: hi-group α, the
+    members g + α*x_n with g free of x_n, is as large as any and often
+    holds a witness.  Every other pair is visited once."""
     p = cls.p
-    t_hi = t // p ** (1 << (cls.n - 1))
-    groups = cls._by_hi
-    mset = cls._member_set
-    for a, group in groups.items():
-        b = _packed_sub(t_hi, a, p)
-        if b < a:
+    t_hi = t // cls._half
+    t_top = t_hi // cls._quarter
+    by_top, by_hi, mset = cls._by_top, cls._by_hi, cls._member_set
+
+    def joins(a: int, b: int) -> bool:
+        group, other = by_hi.get(a), by_hi.get(b)
+        if group is not None and other is not None:
+            for s in min(group, other, key=len):
+                if _packed_sub(t, s, p) in mset:
+                    return True
+        return False
+
+    for alpha in range(p):
+        if joins(alpha, _packed_sub(t_hi, alpha, p)):
+            return True
+    for c, keys in by_top.items():
+        d = _packed_sub(t_top, c, p)
+        if d < c or d not in by_top:
             continue
-        other = groups.get(b)
-        if other is None:
-            continue
-        for s in min(group, other, key=len):
-            if _packed_sub(t, s, p) in mset:
+        for a in min(keys, by_top[d], key=len):
+            b = _packed_sub(t_hi, a, p)
+            if b in by_hi and a >= p and b >= p and (c < d or a <= b) and joins(a, b):
                 return True
     return False
 
@@ -235,10 +256,10 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
     """The smallest k <= kmax with the target in the k-fold sumset of the
     class, or None.  kmax is capped at 4.
 
-    k=1 is a lookup.  k=2 is a join on the top variable's half (see
-    ``_in_2s``): it examines only the members of hi-groups that can pair
-    up: for a negative answer, a median of about 250 of the 68,968
-    members of F_2 n=5 and about 3,300 of the 89,721 members of F_3 n=4.
+    k=1 is a lookup.  k=2 is a join on the top two variables (see
+    ``_in_2s``): for a negative answer it examines a median of 320 of the
+    2,680 hi-group keys and about 250 of the 68,968 members of F_2 n=5,
+    and 585 of 2,025 keys and about 3,300 of 89,721 members of F_3 n=4.
     k>=3 tries first summands in ascending encoding order and asks the
     (k-1) question of the rest, so a positive answer stops at its first
     witness, while a negative answer at k=3 costs one k=2 join per member.

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import statistics
 import struct
 
 import pytest
@@ -12,6 +13,7 @@ from ropsum import (
     elementary_symmetric,
     prime_field,
 )
+from ropsum import oracle
 from ropsum.oracle import (
     PackedPoly,
     RopClass,
@@ -191,7 +193,7 @@ def classes():
     return get
 
 
-@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
 def test_min_k_matches_reference_on_every_target(classes, p, n):
     cls = classes(p, n)
     for value in range(p ** (1 << n)):
@@ -248,6 +250,21 @@ def test_min_k_assumes_no_closure_or_order(p, n, size):
         assert min_k(PackedPoly(p, n, value), cls, 3) == expected, value
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_min_k_two_on_every_target_of_sparse_classes(p, n):
+    # a set that is not closed may reach a target only through a pair from
+    # one hi-group other than 0 (over F_2 n=2, x2 + (1 + x2) = 1) or from
+    # one key group
+    rng = random.Random(10 * p + n)
+    universe = p ** (1 << n)
+    for size in (2, 3, 5, 8):
+        members = rng.sample(range(universe), min(size, universe))
+        cls = RopClass(p, n, tuple(members))
+        for value in range(universe):
+            expected = _reference_min_k(value, members, p, 2)
+            assert min_k(PackedPoly(p, n, value), cls, 2) == expected, (members, value)
+
+
 class _CountingSet:
     """A member set that counts the membership tests made on it."""
 
@@ -275,6 +292,27 @@ def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
     finally:
         cls._member_set = counting.inner
     assert negatives >= 20
+
+
+def test_min_k_two_visits_half_the_hi_groups_at_most(classes, monkeypatch):
+    # every hi-group key the join examines costs one subtraction, t_hi - a,
+    # so the subtractions a negative makes bound the keys it examines
+    cls = classes(2, 5)
+    calls = []
+    real_sub = oracle._packed_sub
+
+    def counting_sub(t, s, p):
+        calls.append(None)
+        return real_sub(t, s, p)
+
+    monkeypatch.setattr(oracle, "_packed_sub", counting_sub)
+    rng = random.Random(53)
+    work = []
+    while len(work) < 25:
+        calls.clear()
+        if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
+            work.append(len(calls))
+    assert statistics.median(work) <= len(cls._by_hi) // 2
 
 
 # member count and sha256 of struct.pack("<%dQ", *members), for every feasible
