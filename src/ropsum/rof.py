@@ -8,6 +8,10 @@ labels at most one leaf, which makes every evaluation multilinear.
 
 ``RopSum`` is an ordered list of such trees; distinct summands may share
 variables freely, each tree alone may not.
+
+``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
+which walks a tree once over raw coefficient maps (see
+:mod:`ropsum.mpoly`) and builds no polynomial object per node.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     RopsumError,
+    SharedVariables,
     TooFewVariables,
     TooManyVariables,
 )
-from .mpoly import MAX_VARIABLES, MultilinearPoly
+from .mpoly import MAX_VARIABLES, MultilinearPoly, _disjoint_product
 from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
 ADD = "add"
@@ -115,36 +120,90 @@ def validate(rof: Rof) -> List[Violation]:
     return violations
 
 
+def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
+    """The canonical raw coefficient map of the polynomial the formula
+    computes over ``field``, on variables x_1..x_n.
+
+    One walk keeps a (map, support) pair per node, the support being the
+    union of the map's monomials.  A scalar of another field raises
+    ``FieldMismatch``, a product of factors whose supports meet raises
+    ``SharedVariables`` and a leaf outside 1..n raises ``IndexOutOfRange``.
+    """
+    if n > MAX_VARIABLES:
+        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+
+    canon = field.canon
+    values: List[Tuple[dict, int]] = []
+    for node in _post_order(rof):
+        if isinstance(node, Leaf):
+            if not (1 <= node.var <= n):
+                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
+            a, b = node.alpha, node.beta
+            alpha = a.value if a.field is field else field.raw(a)
+            beta = b.value if b.field is field else field.raw(b)
+            bit = 1 << (node.var - 1) if alpha else 0
+            coeffs = {bit: alpha} if alpha else {}
+            if beta:
+                coeffs[0] = beta
+            values.append((coeffs, bit))
+            continue
+        right, right_vars = values.pop()
+        left, left_vars = values.pop()
+        if node.op == ADD:
+            coeffs = dict(left)
+            for m, c in right.items():
+                s = coeffs.get(m)
+                coeffs[m] = c if s is None else s + c
+            coeffs = canon(coeffs)
+            support = left_vars | right_vars
+            if left_vars & right_vars:
+                # only monomials on shared variables can cancel
+                support = 0
+                for m in coeffs:
+                    support |= m
+        else:
+            shared = left_vars & right_vars
+            if shared:
+                raise SharedVariables(
+                    "factors share variables %s"
+                    % [i + 1 for i in range(shared.bit_length()) if shared >> i & 1]
+                )
+            # a factor that is a bare monomial only moves the other's keys
+            if len(left) == 1 and left.get(left_vars) == 1:
+                coeffs = {left_vars | m: c for m, c in right.items()}
+            elif len(right) == 1 and right.get(right_vars) == 1:
+                coeffs = {m | right_vars: c for m, c in left.items()}
+            else:
+                coeffs = _disjoint_product(left, right, field)
+            support = left_vars | right_vars if coeffs else 0
+        # most gates of a decomposition carry the identity pair (1, 0)
+        a, b = node.alpha, node.beta
+        alpha = a.value if a.field is field else field.raw(a)
+        beta = b.value if b.field is field else field.raw(b)
+        if alpha != 1:
+            coeffs = canon({m: c * alpha for m, c in coeffs.items()}) if alpha else {}
+            if not coeffs:
+                support = 0
+        if beta:
+            c0 = field.add(coeffs.get(0, 0), beta)
+            if c0:
+                coeffs[0] = c0
+            else:
+                del coeffs[0]
+        values.append((coeffs, support))
+    return values[0][0]
+
+
 def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
-    """The multilinear polynomial the formula computes.
+    """The multilinear polynomial the formula computes, expanded in one
+    walk over raw coefficient maps.
 
     ``n`` defaults to the highest variable index in the tree.
     """
     field = field_of(rof)
     if n is None:
         n = max(leaf_vars(rof))
-    if n > MAX_VARIABLES:
-        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
-
-    values: List[MultilinearPoly] = []
-    for node in _post_order(rof):
-        if isinstance(node, Leaf):
-            if not (1 <= node.var <= n):
-                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
-            coeffs = {1 << (node.var - 1): field.raw(node.alpha), 0: field.raw(node.beta)}
-            values.append(MultilinearPoly._trusted(n, field, field.canon(coeffs)))
-        else:
-            right = values.pop()
-            left = values.pop()
-            inner = left + right if node.op == ADD else left.mul_disjoint(right)
-            # most gates of a decomposition carry the identity pair (1, 0)
-            alpha, beta = field.raw(node.alpha), field.raw(node.beta)
-            if alpha != 1:
-                inner = inner.scale(alpha)
-            if beta:
-                inner = inner.add_constant(beta)
-            values.append(inner)
-    return values[0]
+    return MultilinearPoly._trusted(n, field, _expand(rof, n, field))
 
 
 def is_multiplicative_structural(rof: Rof) -> bool:
@@ -280,10 +339,11 @@ def sum_validate(s: RopSum) -> List[Violation]:
 
 
 def sum_evaluate(s: RopSum) -> MultilinearPoly:
-    """The polynomial the sum computes, accumulated in one coefficient map."""
+    """The polynomial the sum computes: every summand is expanded in
+    ``s.field`` and added into one coefficient map."""
     total: dict = {}
     for rof in s.summands:
-        for m, c in evaluate(rof, s.n).coeffs.items():
+        for m, c in _expand(rof, s.n, s.field).items():
             t = total.get(m)
             total[m] = c if t is None else t + c
     return MultilinearPoly._trusted(s.n, s.field, s.field.canon(total))

@@ -11,6 +11,7 @@ elements of different fields raises ``FieldMismatch``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -48,7 +49,9 @@ class FieldDescriptor:
     canonical form and drops the zero entries.
     """
 
-    __slots__ = ("kind", "p", "add", "sub", "mul", "neg", "div", "inv", "canon")
+    __slots__ = (
+        "kind", "p", "add", "sub", "mul", "neg", "div", "inv", "canon", "_zero", "_one"
+    )
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == "rationals":
@@ -79,6 +82,9 @@ class FieldDescriptor:
             raise PreconditionViolated("unknown field kind %r" % kind)
         for name, value in zip(self.__slots__, (kind, p) + ops):
             object.__setattr__(self, name, value)
+        # FieldElem is immutable, so one zero and one one serve every caller
+        object.__setattr__(self, "_zero", FieldElem(self, self.raw(0)))
+        object.__setattr__(self, "_one", FieldElem(self, self.raw(1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldDescriptor is immutable")
@@ -88,10 +94,10 @@ class FieldDescriptor:
         return 0 if self.kind == "rationals" else self.p
 
     def zero(self) -> "FieldElem":
-        return self.elem(0)
+        return self._zero
 
     def one(self) -> "FieldElem":
-        return self.elem(1)
+        return self._one
 
     def raw(self, value: Union[int, Fraction, "FieldElem"]):
         """The canonical raw value of an int, Fraction or FieldElem."""
@@ -127,10 +133,11 @@ class FieldDescriptor:
         return "Q" if self.kind == "rationals" else "F_%d" % self.p
 
 
-QQ = FieldDescriptor("rationals")
-
-
+@functools.lru_cache(maxsize=64)
 def prime_field(p: int) -> FieldDescriptor:
+    """F_p.  Recent descriptors are shared: each costs a primality test,
+    and a dropped one waits for the cycle collector, since it and its
+    cached constants refer to each other."""
     return FieldDescriptor("prime", p)
 
 
@@ -219,6 +226,10 @@ class FieldElem:
 
     def __str__(self):
         return format_scalar(self)
+
+
+# built here because a descriptor makes its constants as FieldElems
+QQ = FieldDescriptor("rationals")
 
 
 def sqrt_in_field(x: FieldElem) -> Optional[FieldElem]:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -237,3 +239,55 @@ def test_sympoly4_prime_field():
 def test_sympoly4_rejects_char2():
     with pytest.raises(CharacteristicTwo):
         sympoly4(1, 1, 1, 1, 1, field=F2)
+
+
+# -- pinned outputs ---------------------------------------------------------------
+#
+# The digest of every summand's text and three verify_against answers (the
+# target, the target plus 1, a random polynomial) over a fixed-seed corpus of
+# the four strategies, computed before evaluation moved to raw coefficient
+# maps; any change to a witness or an answer changes it.
+
+CORPUS_FIELDS = [QQ, F2, prime_field(3), F5, prime_field(10007)]
+CORPUS_SIZE = 1480
+CORPUS_DIGEST = "1d6a7959bcca5104b00d2c3f6d85199f6663d7e977d5d7364aa0aff8bb7aa747"
+
+
+def _decomposition_corpus():
+    rng = random.Random(4242)
+    lines = []
+
+    def record(name, s, target):
+        others = (
+            target + MultilinearPoly.constant(target.n, target.field, 1),
+            random_poly(rng, target.n, target.field, 0.5),
+        )
+        answers = [verify_against(s, t) for t in (target,) + others]
+        text = [print_rof(rof) for rof in s.summands]
+        lines.append(json.dumps([name, str(target.field), target.n, text, answers]))
+
+    for field in CORPUS_FIELDS:
+        for n in range(1, 8):
+            for density in (0.3, 0.8):
+                for _ in range(8):
+                    p = random_poly(rng, n, field, density)
+                    record("generic", generic(p), p)
+                    record("pair_monomials", pair_monomials(p), p)
+        for n in range(1, 11):
+            for _ in range(4):
+                a, b = random_scalar(rng, field), random_scalar(rng, field)
+                record("symmetric_halves", symmetric_halves(n, a, b, field), m_poly(n, a, b, field))
+        if field.characteristic != 2:
+            for _ in range(40):
+                coeffs = [
+                    random_scalar(rng, field) if rng.random() < 0.6 else field.zero()
+                    for _ in range(5)
+                ]
+                record("sympoly4", sympoly4(*coeffs, field=field), combo(field, *coeffs))
+    return lines
+
+
+def test_decompositions_are_pinned():
+    lines = _decomposition_corpus()
+    assert len(lines) == CORPUS_SIZE
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORPUS_DIGEST

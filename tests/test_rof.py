@@ -5,10 +5,13 @@ import pytest
 
 from ropsum import (
     QQ,
+    FieldDescriptor,
+    FieldMismatch,
     IndexOutOfRange,
     MultilinearPoly,
     NotMultiplicative,
     ParseError,
+    SharedVariables,
     TooFewVariables,
     TooManyVariables,
     family4,
@@ -38,6 +41,7 @@ from helpers import (
     f2_evals_to_coeff_mask,
     f2_rof_summaries,
     random_rof,
+    random_scalar,
     random_variable_subset,
 )
 
@@ -83,6 +87,142 @@ def test_evaluate_half_pairing_closer():
     inner = gate(ADD, leaf(3), leaf(4))
     t = gate(MUL, inner, gate(MUL, leaf(1), leaf(2)))
     assert evaluate(t) == MultilinearPoly(4, QQ, {0b0111: 1, 0b1011: 1})
+
+
+def test_evaluate_refuses_factors_that_share_a_variable():
+    t = gate(MUL, gate(ADD, leaf(1), leaf(2)), gate(MUL, leaf(2), leaf(3)))
+    with pytest.raises(SharedVariables, match=r"\[2\]"):
+        evaluate(t)
+    # a zero-scale leaf is a constant and shares nothing; so is a sum
+    # whose variable terms cancel
+    assert evaluate(gate(MUL, leaf(1, 0, 2), leaf(1))) == MultilinearPoly(1, QQ, {0b1: 2})
+    five = gate(ADD, leaf(1), leaf(1, -1, 5))
+    assert evaluate(gate(MUL, five, leaf(1, 3, 0))) == MultilinearPoly(1, QQ, {0b1: 15})
+
+
+def test_evaluate_refuses_out_of_range_variables():
+    with pytest.raises(IndexOutOfRange):
+        evaluate(gate(ADD, leaf(1), leaf(3)), 2)
+    with pytest.raises(IndexOutOfRange):
+        evaluate(leaf(0))
+    with pytest.raises(IndexOutOfRange):
+        evaluate(leaf(31))
+    with pytest.raises(IndexOutOfRange):
+        evaluate(leaf(1), 31)
+    assert evaluate(leaf(30)).n == 30
+
+
+def test_evaluate_refuses_a_scalar_of_another_field():
+    F7 = prime_field(7)
+    with pytest.raises(FieldMismatch):
+        evaluate(gate(ADD, leaf(1), Leaf(2, F7.one(), F7.zero())))
+    with pytest.raises(FieldMismatch):
+        evaluate(Gate(MUL, QQ.one(), F7.zero(), leaf(1), leaf(2)))
+    # an equal descriptor built apart is the same field
+    G7 = FieldDescriptor("prime", 7)
+    t = Gate(ADD, F7.one(), F7.zero(), Leaf(1, F7.one(), F7.zero()),
+             Leaf(2, G7.elem(3), G7.zero()))
+    assert evaluate(t) == MultilinearPoly(2, F7, {0b01: 1, 0b10: 3})
+
+
+def test_verify_against_refuses_a_summand_of_another_field():
+    F5, F7 = prime_field(5), prime_field(7)
+    s = RopSum(F5, 1, (Leaf(1, F7.elem(6), F7.zero()),))
+    assert [v.kind for v in sum_validate(s)] == ["field_mismatch"]
+    with pytest.raises(FieldMismatch):
+        verify_against(s, MultilinearPoly.variable(1, F5, 1))
+    with pytest.raises(FieldMismatch):
+        sum_evaluate(s)
+
+
+# -- evaluation against the public operations --------------------------------
+
+
+def _reference(node, n):
+    """The polynomial a formula computes, built with the public operations."""
+    if isinstance(node, Leaf):
+        x = MultilinearPoly.variable(n, node.alpha.field, node.var)
+    else:
+        left, right = _reference(node.left, n), _reference(node.right, n)
+        x = left + right if node.op == ADD else left.mul_disjoint(right)
+    return x.scale(node.alpha).add_constant(node.beta)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (SharedVariables, IndexOutOfRange, FieldMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _negated(node):
+    """The same node computing minus its polynomial."""
+    if isinstance(node, Leaf):
+        return Leaf(node.var, -node.alpha, -node.beta)
+    return Gate(node.op, -node.alpha, -node.beta, node.left, node.right)
+
+
+def _monomial(variables, field):
+    """x_{v1} * ... * x_{vk} as a chain of identity-pair products."""
+    one, zero = field.one(), field.zero()
+    tree = Leaf(variables[-1], one, zero)
+    for v in reversed(variables[:-1]):
+        tree = Gate(MUL, one, zero, Leaf(v, one, zero), tree)
+    return tree
+
+
+def _random_formula(rng, field, variables):
+    """A random formula on the variables, mostly read-once: some sums add a
+    node to its own negation, and some products read a variable twice."""
+    def pair():
+        roll = rng.random()
+        if roll < 0.4:
+            return field.one(), field.zero()
+        alpha = field.zero() if roll < 0.5 else random_scalar(rng, field)
+        return alpha, random_scalar(rng, field)
+
+    if len(variables) == 1:
+        return Leaf(variables[0], *pair())
+    cut = rng.randint(1, len(variables) - 1)
+    left = _random_formula(rng, field, variables[:cut])
+    right = _random_formula(rng, field, variables[cut:])
+    roll = rng.random()
+    if roll < 0.1:
+        # cancels all but the constants; its support is empty
+        left = Gate(ADD, *pair(), left, _negated(left))
+    elif roll < 0.15:
+        right = Gate(ADD, *pair(), right, left)
+    elif roll < 0.3:
+        left = _monomial(variables[:cut], field)
+    elif roll < 0.45:
+        right = _monomial(variables[cut:], field)
+    return Gate(rng.choice((ADD, MUL)), *pair(), left, right)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, prime_field(3), prime_field(10007)], ids=str)
+def test_evaluate_matches_the_public_operations(field):
+    rng = random.Random(1307 + field.characteristic)
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        summands = []
+        for _ in range(rng.randint(1, 3)):
+            variables = random_variable_subset(rng, n, rng.randint(1, n))
+            rng.shuffle(variables)
+            summands.append(_random_formula(rng, field, variables))
+        for t in summands:
+            want = _outcome(lambda: _reference(t, n))
+            assert _outcome(lambda: evaluate(t, n)) == want
+            refused += isinstance(want, tuple)
+        def reference_sum():
+            total = MultilinearPoly.zero(n, field)
+            for t in summands:
+                total = total + _reference(t, n)
+            return total
+
+        s = RopSum(field, n, tuple(summands))
+        assert _outcome(lambda: sum_evaluate(s)) == _outcome(reference_sum)
+    assert 0 < refused < 400
 
 
 def test_structural_multiplicativity():

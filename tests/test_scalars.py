@@ -32,6 +32,14 @@ def test_prime_field_arithmetic():
     assert F7.elem(3).inverse() == 5
 
 
+def test_constants_and_prime_fields_are_shared():
+    for field in (QQ, F7):
+        assert field.zero() is field.zero() and field.one() is field.one()
+        assert (field.zero().value, field.one().value) == (field.raw(0), field.raw(1))
+    assert type(QQ.one().value) is Fraction
+    assert prime_field(7) is F7
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         QQ.elem(0).inverse()
