@@ -7,30 +7,26 @@ against its target before being handed back:
   formula as x_{S&T} * (a x_{S\\T} + b x_{T\\S}); pairing them up costs at
   most ceil(M/2) summands for M monomials.
 * ``generic`` -- any multilinear polynomial; 1 summand up to 2 variables,
-  an explicit 3-summand construction at 4 variables, and the recursion
-  f = x_m * df/dx_m + f|_{x_m=0} above, for 3 * 2^(n-4) total.
+  an explicit 3-summand construction at 4 variables, and above that the
+  recursion f = x_m * df/dx_m + f|_{x_m=0} unrolled into one pass over
+  blocks of coefficients, for 3 * 2^(n-4) total.
 * ``symmetric_halves`` -- the tight ceil(n/2) construction for
   alpha*S_n^n + beta*S_n^{n-1}.
 * ``sympoly4`` -- any weighted combination of the 4-variable elementary
   symmetric polynomials in at most two summands, by a four-case table.
+
+Every strategy builds its formulas straight from coefficients; the one
+polynomial expansion is the final check.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CharacteristicTwo, PreconditionViolated, RopsumError
-from .mpoly import MultilinearPoly, _infer_field, elementary_symmetric, m_poly
-from .rof import (
-    ADD,
-    MUL,
-    Gate,
-    Leaf,
-    Rof,
-    RopSum,
-    sum_evaluate,
-    verify_against,
-)
+from .mpoly import MultilinearPoly, _infer_field, m_poly
+from .rof import ADD, MUL, Gate, Leaf, Rof, RopSum, verify_against
 from .scalars import FieldDescriptor, FieldElem
 
 
@@ -74,15 +70,6 @@ def _times_monomial(variables: List[int], rof: Optional[Rof]) -> Optional[Rof]:
         return None
     one, zero = rof.alpha.field.one(), rof.alpha.field.zero()
     return Gate(MUL, one, zero, _mono_chain(variables, one, zero), rof)
-
-
-def _with_beta(rof: Rof, c: FieldElem) -> Rof:
-    """The same node with c added to its output shift."""
-    if c.is_zero():
-        return rof
-    if isinstance(rof, Leaf):
-        return Leaf(rof.var, rof.alpha, rof.beta + c)
-    return Gate(rof.op, rof.alpha, rof.beta + c, rof.left, rof.right)
 
 
 def _verified(summands: List[Rof], target: MultilinearPoly) -> RopSum:
@@ -152,17 +139,18 @@ def _linear_rof(const: FieldElem, terms: List[Tuple[int, FieldElem]]) -> Optiona
     tree: Rof = Leaf(terms[0][0], terms[0][1], zero)
     for v, c in terms[1:]:
         tree = Gate(ADD, one, zero, tree, Leaf(v, c, zero))
-    return _with_beta(tree, const)
+    return replace(tree, beta=const)
 
 
 _QUAD_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-def _generic_base4(p: MultilinearPoly) -> List[Rof]:
-    """At most three summands for a polynomial on x1..x4."""
-    one, zero = p.field.one(), p.field.zero()
+def _generic_base4(block: Dict[int, FieldElem], field: FieldDescriptor) -> List[Rof]:
+    """At most three summands for a polynomial on x1..x4, given by its
+    nonzero coefficients keyed by monomial mask."""
+    one, zero = field.one(), field.zero()
     pivot = next(
-        ((i, j) for i, j in _QUAD_PAIRS if (1 << (i - 1) | 1 << (j - 1)) in p.coeffs),
+        ((i, j) for i, j in _QUAD_PAIRS if (1 << (i - 1) | 1 << (j - 1)) in block),
         None,
     )
     # Position q of the construction stands for the variable x[q]; a pivot
@@ -172,7 +160,7 @@ def _generic_base4(p: MultilinearPoly) -> List[Rof]:
     x = {1: i, 2: k, 3: j, 4: l}
 
     def c(*positions: int) -> FieldElem:
-        return p.coeff(sum(1 << (x[q] - 1) for q in positions))
+        return block.get(sum(1 << (x[q] - 1) for q in positions), zero)
 
     if pivot is None:
         # No quadratic terms: the linear part, then x1x2 and x3x4 times
@@ -190,9 +178,9 @@ def _generic_base4(p: MultilinearPoly) -> List[Rof]:
     # Everything supported inside positions {1,2} or {3,4}.
     low = _bivariate_rof(x[1], x[2], c(), c(1), c(2), c(1, 2))
     high = _bivariate_rof(x[3], x[4], zero, c(3), c(4), c(3, 4))
-    block = low or high
+    halves = low or high
     if low is not None and high is not None:
-        block = Gate(ADD, one, zero, low, high)
+        halves = Gate(ADD, one, zero, low, high)
     # The pivot product: (a13 x1 + a23 x2 + a123 x1x2)(x3 + (a14/a13) x4 + (a134/a13) x3x4).
     left = _bivariate_rof(x[1], x[2], zero, a13, c(2, 3), c(1, 2, 3))
     right = _bivariate_rof(x[3], x[4], zero, one, c(1, 4) / a13, c(1, 3, 4) / a13)
@@ -206,7 +194,7 @@ def _generic_base4(p: MultilinearPoly) -> List[Rof]:
         c(1, 2, 3, 4) - c(1, 3, 4) * c(1, 2, 3) / a13,
     )
     parts = [
-        block,
+        halves,
         Gate(MUL, one, zero, left, right),
         _times_monomial([x[2], x[4]], corr),
     ]
@@ -217,29 +205,35 @@ def generic(p: MultilinearPoly) -> RopSum:
     """Any multilinear polynomial as a verified sum of read-once formulas.
 
     Summand counts: 1 up to 2 variables, at most 2 at n=3, at most 3 at
-    n=4 and at most 3 * 2^(n-4) beyond, by always splitting on the
-    highest-indexed variable.
+    n=4 and at most 3 * 2^(n-4) beyond.  The recursion
+    f = x_m * df/dx_m + f|_{x_m=0} on the highest variable is unrolled
+    into one pass over blocks on x_1..x_low (low = 4, or 2 below n = 4):
+    each block's summands are multiplied by its variables above x_low, and
+    the blocks come in the recursion's order, the x_m branch first.
     """
     if p.n < 1:
         raise PreconditionViolated("decomposition needs a variable range of n >= 1")
     field = p.field
     one, zero = field.one(), field.zero()
+    low = 4 if p.n >= 4 else 2
+    blocks: Dict[int, Dict[int, FieldElem]] = {}
+    for mask, c in p.coeffs.items():
+        blocks.setdefault(mask >> low, {})[mask % (1 << low)] = FieldElem(field, c)
 
-    def rec(q: MultilinearPoly, m: int) -> List[Rof]:
-        if q.is_zero():
-            return []
-        if m <= 2:
-            return [_bivariate_rof(1, 2, q.coeff(0), q.coeff(1), q.coeff(2), q.coeff(3))]
-        if m == 4:
-            return _generic_base4(q)
-        g, h = q.partial(m), q.restrict(m, 0)
-        out = [
-            Gate(MUL, one, zero, Leaf(m, one, zero), w) for w in rec(g, m - 1)
-        ]
-        out.extend(rec(h, m - 1))
-        return out
-
-    return _verified(rec(p, p.n), p)
+    summands: List[Rof] = []
+    for high in sorted(blocks, reverse=True):
+        block = blocks[high]
+        if low == 4:
+            parts = _generic_base4(block, field)
+        else:
+            parts = [_bivariate_rof(1, 2, *(block.get(m, zero) for m in range(4)))]
+        # the lowest high variable innermost, as the recursion wraps them
+        for i in range(high.bit_length()):
+            if high >> i & 1:
+                leaf = Leaf(low + i + 1, one, zero)
+                parts = [Gate(MUL, one, zero, leaf, w) for w in parts]
+        summands += parts
+    return _verified(summands, p)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +290,14 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     """Any combination sum_i a_i * S_4^i as at most two verified summands.
 
     Four cases keyed on (a2, a3, a2*a4 vs a3^2); each row's leftover
-    constant is recovered as the residual against the target and folded
-    into the first summand's output shift.
+    constant is written in closed form as the first summand's output shift.
     """
     field = _infer_field(field, a0, a1, a2, a3, a4)
     if field.characteristic == 2:
         raise CharacteristicTwo("the case table divides by 2-regular coefficients")
-    c0, c1, c2, c3, c4 = (field.elem(v) for v in (a0, a1, a2, a3, a4))
-    target = MultilinearPoly.zero(4, field)
-    for k, ck in enumerate((c0, c1, c2, c3, c4)):
-        target = target + elementary_symmetric(4, k, field).scale(ck)
+    c = [field.elem(v) for v in (a0, a1, a2, a3, a4)]
+    target = MultilinearPoly(4, field, {m: c[m.bit_count()] for m in range(16)})
+    c0, c1, c2, c3, c4 = c
     one, zero = field.one(), field.zero()
 
     summands: List[Rof] = []
@@ -317,19 +309,26 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
             summands.append(_mono_chain([1, 2, 3, 4], c4, zero))
     elif c2.is_zero():
         # (a1 + a3 x1x2)(x3 + x4 + (a4/a3) x3x4) + (a1 + a3 x3x4)(x1 + x2 - a1a4/a3^2)
+        # leaves the constant a0 + a1^2 a4/a3^2
         f1 = _bivariate_rof(1, 2, c1, zero, zero, c3)
         g1 = _bivariate_rof(3, 4, zero, one, one, c4 / c3)
         f2 = _bivariate_rof(3, 4, c1, zero, zero, c3)
         g2 = _bivariate_rof(1, 2, -(c1 * c4) / (c3 * c3), one, one, zero)
-        summands.append(Gate(MUL, one, zero, f1, g1))
+        const = c0 + c1 * c1 * c4 / (c3 * c3)
+        summands.append(Gate(MUL, one, const, f1, g1))
         summands.append(Gate(MUL, one, zero, f2, g2))
     else:
+        # (a1 + a2 x1 + a2 x2 + a3 x1x2)(a1 + a2 x3 + a2 x4 + a3 x3x4) / a2
+        # leaves a0 - a1^2/a2 + (w/a2)(x1x2 + x3x4) + (det/a2) x1x2x3x4
         inv2 = c2.inverse()
-        blk_low = _bivariate_rof(1, 2, c1, c2, c2, c3)
-        blk_high = _bivariate_rof(3, 4, c1, c2, c2, c3)
-        summands.append(Gate(MUL, inv2, zero, blk_low, blk_high))
         w = c2 * c2 - c1 * c3
         det = c2 * c4 - c3 * c3
+        const = c0 - c1 * c1 * inv2
+        if not det.is_zero():
+            const = const - w * w / (det * c2)
+        blk_low = _bivariate_rof(1, 2, c1, c2, c2, c3)
+        blk_high = _bivariate_rof(3, 4, c1, c2, c2, c3)
+        summands.append(Gate(MUL, inv2, const, blk_low, blk_high))
         if det.is_zero():
             if not w.is_zero():
                 second = Gate(
@@ -341,18 +340,11 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
                 )
                 summands.append(second)
         else:
-            # (x1x2 + w/det)(det x3x4 + w) / a2
+            # (x1x2 + w/det)(det x3x4 + w) / a2, whose constant is w^2/(det a2)
             left = _mono_chain([1, 2], one, w / det)
             right = _mono_chain([3, 4], det, w)
             summands.append(Gate(MUL, inv2, zero, left, right))
 
-    trial = RopSum(field, 4, tuple(summands))
-    residual = target - sum_evaluate(trial)
-    if not residual.is_constant():
-        raise RopsumError("internal: case-table residual is not a constant")
-    # summands is empty only for the zero target, whose residual is zero
-    if summands:
-        summands[0] = _with_beta(summands[0], residual.coeff(0))
     if len(summands) > 2:
         raise RopsumError("internal: more than two summands from the case table")
     return _verified(summands, target)

@@ -43,6 +43,16 @@ def _same_field(a: FieldDescriptor, b: FieldDescriptor):
         raise FieldMismatch("polynomials over %s and %s" % (a, b))
 
 
+def _check_var_count(n: int):
+    if not (0 <= n <= MAX_VARIABLES):
+        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+
+
+def _shared_variables(shared: int) -> SharedVariables:
+    bits = [i + 1 for i in range(shared.bit_length()) if shared >> i & 1]
+    return SharedVariables("factors share variables %s" % bits)
+
+
 class _Poly:
     """A raw coefficient map on variables x_1..x_n over a field."""
 
@@ -87,8 +97,7 @@ class MultilinearPoly(_Poly):
     __slots__ = ()
 
     def __init__(self, n: int, field: FieldDescriptor, coeffs: Dict[int, Scalar]):
-        if not (0 <= n <= MAX_VARIABLES):
-            raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+        _check_var_count(n)
         raw = field.raw
         clean = {}
         for mask, c in coeffs.items():
@@ -176,11 +185,9 @@ class MultilinearPoly(_Poly):
     def mul_disjoint(self, other: "MultilinearPoly") -> "MultilinearPoly":
         """Product of variable-disjoint factors; stays multilinear."""
         self._check_compat(other)
-        if self.var_mask() & other.var_mask():
-            raise SharedVariables(
-                "factors share variables %s"
-                % sorted(set(self.variables()) & set(other.variables()))
-            )
+        shared = self.var_mask() & other.var_mask()
+        if shared:
+            raise _shared_variables(shared)
         out = _disjoint_product(self.coeffs, other.coeffs, self.field)
         return MultilinearPoly._trusted(self.n, self.field, out)
 
@@ -219,8 +226,7 @@ class MultilinearPoly(_Poly):
 
     def with_n(self, n: int) -> "MultilinearPoly":
         """Re-declare the variable count (pad or shrink when unused)."""
-        if not (0 <= n <= MAX_VARIABLES):  # before 1 << n is built
-            raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+        _check_var_count(n)  # before 1 << n is built
         if n == self.n:
             return self
         if n < self.n and self.var_mask() >= (1 << n):
@@ -336,6 +342,7 @@ class SparsePoly(_Poly):
         field: FieldDescriptor,
         coeffs: Dict[Tuple[int, ...], Scalar],
     ):
+        _check_var_count(n)  # _OVER, _TOP and _BORROW cover MAX_VARIABLES fields
         clean = {}
         for exps, c in coeffs.items():
             if len(exps) != n:
@@ -492,8 +499,7 @@ def elementary_symmetric(n: int, k: int, field: FieldDescriptor = QQ) -> Multili
     """S_n^k: the sum of all degree-k multilinear monomials on n variables."""
     if not (0 <= k <= n):
         raise IndexOutOfRange("need 0 <= k <= n, got k=%d, n=%d" % (k, n))
-    if n > MAX_VARIABLES:  # before C(n, k) masks are built
-        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+    _check_var_count(n)  # before C(n, k) masks are built
     coeffs = {}
     for subset in combinations(range(n), k):
         mask = 0

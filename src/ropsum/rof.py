@@ -27,11 +27,10 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     RopsumError,
-    SharedVariables,
     TooFewVariables,
     TooManyVariables,
 )
-from .mpoly import MAX_VARIABLES, MultilinearPoly, _disjoint_product
+from .mpoly import MultilinearPoly, _check_var_count, _disjoint_product, _shared_variables
 from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
 ADD = "add"
@@ -90,6 +89,10 @@ def field_of(rof: Rof) -> FieldDescriptor:
     return rof.alpha.field
 
 
+def _unknown_op(op) -> Violation:
+    return Violation("bad_gate", "unknown op %r" % op)
+
+
 def validate(rof: Rof) -> List[Violation]:
     """All read-once / consistency violations; an empty list means valid."""
     violations: List[Violation] = []
@@ -111,7 +114,7 @@ def validate(rof: Rof) -> List[Violation]:
                 )
             seen[node.var] = seen.get(node.var, 0) + 1
         elif node.op not in (ADD, MUL):
-            violations.append(Violation("bad_gate", "unknown op %r" % node.op))
+            violations.append(_unknown_op(node.op))
     for v, count in sorted(seen.items()):
         if count > 1:
             violations.append(
@@ -127,10 +130,10 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
     One walk keeps a (map, support) pair per node, the support being the
     union of the map's monomials.  A scalar of another field raises
     ``FieldMismatch``, a product of factors whose supports meet raises
-    ``SharedVariables`` and a leaf outside 1..n raises ``IndexOutOfRange``.
+    ``SharedVariables``, a leaf outside 1..n raises ``IndexOutOfRange`` and
+    a gate other than add or mul is refused as ``validate`` words it.
     """
-    if n > MAX_VARIABLES:
-        raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
+    _check_var_count(n)
 
     canon = field.canon
     values: List[Tuple[dict, int]] = []
@@ -161,13 +164,11 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
                 support = 0
                 for m in coeffs:
                     support |= m
+        elif node.op != MUL:
+            refuse_invalid([_unknown_op(node.op)])
         else:
-            shared = left_vars & right_vars
-            if shared:
-                raise SharedVariables(
-                    "factors share variables %s"
-                    % [i + 1 for i in range(shared.bit_length()) if shared >> i & 1]
-                )
+            if left_vars & right_vars:
+                raise _shared_variables(left_vars & right_vars)
             # a factor that is a bare monomial only moves the other's keys
             if len(left) == 1 and left.get(left_vars) == 1:
                 coeffs = {left_vars | m: c for m, c in right.items()}

@@ -241,6 +241,47 @@ def test_sympoly4_rejects_char2():
         sympoly4(1, 1, 1, 1, 1, field=F2)
 
 
+def test_strategies_build_from_coefficients_and_expand_once(monkeypatch):
+    """generic, pair_monomials and sympoly4 build their formulas straight
+    from coefficients: no polynomial ring operation, and one expansion of
+    the sum, the final check."""
+    import ropsum.decompose as decompose_module
+    import ropsum.rof as rof_module
+
+    ring_calls = []
+    for name in ("partial", "restrict", "__add__", "__sub__", "scale"):
+        def spy(*args, _name=name, _original=getattr(MultilinearPoly, name)):
+            ring_calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(MultilinearPoly, name, spy)
+    expansions = []
+
+    def counting_sum_evaluate(s, _original=rof_module.sum_evaluate):
+        expansions.append(len(s.summands))
+        return _original(s)
+
+    monkeypatch.setattr(rof_module, "sum_evaluate", counting_sum_evaluate)
+    # also counted when a strategy reads the name from its own module
+    monkeypatch.setattr(decompose_module, "sum_evaluate", counting_sum_evaluate, raising=False)
+
+    rng = random.Random(47)
+    calls = []
+    for field in (QQ, F5, prime_field(10007)):
+        for n in (1, 2, 3, 4, 5, 7, 9):
+            p = random_poly(rng, n, field, density=0.6)
+            calls += [lambda p=p: generic(p), lambda p=p: pair_monomials(p)]
+        # every row of the case table: a2 = a3 = 0; a2 = 0; a2*a4 = a3^2; general
+        for coeffs in ((1, 2, 0, 0, 3), (1, 2, 0, 3, 4), (1, 3, 1, 1, 1), (1, 2, 3, 4, 5)):
+            calls.append(lambda coeffs=coeffs, field=field: sympoly4(*coeffs, field=field))
+    for call in calls:
+        ring_calls.clear()
+        expansions.clear()
+        call()
+        assert ring_calls == []
+        assert len(expansions) == 1
+
+
 # -- pinned outputs ---------------------------------------------------------------
 #
 # The digest of every summand's text and three verify_against answers (the

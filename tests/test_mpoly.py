@@ -294,6 +294,20 @@ def test_variable_count_cap():
         MultilinearPoly(31, QQ, {})
 
 
+def test_sparse_poly_refuses_a_count_outside_the_range():
+    # the exponent overflow and borrow tests cover 30 variables
+    for n in (-1, 31, 32):
+        with pytest.raises(IndexOutOfRange, match="variable count %d outside 0..30" % n):
+            SparsePoly(n, QQ, {})
+    # and they work up to x30: x30^4 squared is refused, and x29 does not
+    # divide x30 - 1
+    top = SparsePoly(30, QQ, {(0,) * 29 + (4,): 1})
+    with pytest.raises(IndexOutOfRange, match="individual exponent"):
+        top * top
+    x30_minus_1 = SparsePoly(30, QQ, {(0,) * 29 + (1,): 1, (0,) * 30: -1})
+    assert x30_minus_1.divide_exact(SparsePoly(30, QQ, {(0,) * 28 + (1, 0): 1})) is None
+
+
 def test_with_n_refuses_a_count_outside_the_range():
     # checked before 1 << n is built, which a negative n cannot be
     p = P(2, {0b11: 1})

@@ -11,6 +11,7 @@ from ropsum import (
     MultilinearPoly,
     NotMultiplicative,
     ParseError,
+    PreconditionViolated,
     SharedVariables,
     TooFewVariables,
     TooManyVariables,
@@ -133,6 +134,18 @@ def test_verify_against_refuses_a_summand_of_another_field():
         verify_against(s, MultilinearPoly.variable(1, F5, 1))
     with pytest.raises(FieldMismatch):
         sum_evaluate(s)
+
+
+def test_evaluation_refuses_a_gate_that_is_neither_add_nor_mul():
+    xor = gate("xor", leaf(1), leaf(2))
+    assert [v.detail for v in validate(xor)] == ["unknown op 'xor'"]
+    x1x2 = MultilinearPoly(2, QQ, {0b11: 1})
+    for t in (xor, gate(ADD, leaf(3), xor)):
+        s = RopSum(QQ, 3, (t,))
+        for call in (lambda: evaluate(t), lambda: sum_evaluate(s),
+                     lambda: verify_against(s, x1x2.with_n(3))):
+            with pytest.raises(PreconditionViolated, match="^invalid formula: unknown op 'xor'$"):
+                call()
 
 
 # -- evaluation against the public operations --------------------------------
