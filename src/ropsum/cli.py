@@ -24,11 +24,11 @@ import json
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import IndexOutOfRange, ParseError, PreconditionError
-from .mpoly import MAX_VARIABLES, MultilinearPoly, commutator, format_poly, sparse_str
+from .errors import ParseError, PreconditionError
+from .mpoly import MultilinearPoly, _check_var_count, commutator, format_poly, sparse_str
 from .oracle import closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import (
@@ -53,28 +53,21 @@ def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
     if not s:
         raise ParseError("empty polynomial text")
 
-    chunks: List[Tuple[int, str]] = []
-    sign, cur = 1, []
-    for ch in s:
-        if ch in "+-":
-            chunks.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append((sign, "".join(cur).strip()))
-    if chunks and chunks[0] == (1, ""):
-        chunks.pop(0)  # leading sign
+    # sign, term, sign, term, ...; a leading sign leaves an empty first term
+    parts = ["+"] + re.split(r"([+-])", s)
+    if not parts[1]:
+        del parts[:2]
 
     terms: Dict[int, object] = {}
     max_var = 0
-    for sgn, chunk in chunks:
+    for sign, chunk in zip(parts[::2], parts[1::2]):
+        chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty term in %r" % text)
         factors = [f.strip() for f in chunk.split("*")]
         if any(f == "" for f in factors):
             raise ParseError("empty factor in term %r" % chunk)
-        coeff = field.elem(sgn)
+        coeff = field.elem(1 if sign == "+" else -1)
         mask = 0
         for idx, factor in enumerate(factors):
             m = _VAR_RE.match(factor)
@@ -82,10 +75,7 @@ def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
                 var = int_literal(m.group(1))
                 if var < 1:
                     raise ParseError("variable index must be >= 1 in %r" % factor)
-                if var > MAX_VARIABLES:  # before 1 << (var - 1) is built
-                    raise IndexOutOfRange(
-                        "variable count %d outside 0..%d" % (var, MAX_VARIABLES)
-                    )
+                _check_var_count(var)  # before 1 << (var - 1) is built
                 bit = 1 << (var - 1)
                 if mask & bit:
                     raise ParseError("variable x%d repeats within term %r" % (var, chunk))

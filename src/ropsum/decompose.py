@@ -25,7 +25,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CharacteristicTwo, PreconditionViolated, RopsumError
-from .mpoly import MultilinearPoly, _infer_field, m_poly
+from .mpoly import MultilinearPoly, _bits, _by_degree, _infer_field, m_poly
 from .rof import ADD, MUL, Gate, Leaf, Rof, RopSum, verify_against
 from .scalars import FieldDescriptor, FieldElem
 
@@ -92,7 +92,7 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
     summands: List[Rof] = []
 
     def vars_of(mask: int) -> List[int]:
-        return [i + 1 for i in range(p.n) if mask & (1 << i)]
+        return [b.bit_length() for b in _bits(mask)]
 
     for idx in range(0, len(monomials) - 1, 2):
         s, t = monomials[idx], monomials[idx + 1]
@@ -228,10 +228,9 @@ def generic(p: MultilinearPoly) -> RopSum:
         else:
             parts = [_bivariate_rof(1, 2, *(block.get(m, zero) for m in range(4)))]
         # the lowest high variable innermost, as the recursion wraps them
-        for i in range(high.bit_length()):
-            if high >> i & 1:
-                leaf = Leaf(low + i + 1, one, zero)
-                parts = [Gate(MUL, one, zero, leaf, w) for w in parts]
+        for b in _bits(high << low):
+            leaf = Leaf(b.bit_length(), one, zero)
+            parts = [Gate(MUL, one, zero, leaf, w) for w in parts]
         summands += parts
     return _verified(summands, p)
 
@@ -296,7 +295,7 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     if field.characteristic == 2:
         raise CharacteristicTwo("the case table divides by 2-regular coefficients")
     c = [field.elem(v) for v in (a0, a1, a2, a3, a4)]
-    target = MultilinearPoly(4, field, {m: c[m.bit_count()] for m in range(16)})
+    target = _by_degree(4, field, dict(enumerate(c)))
     c0, c1, c2, c3, c4 = c
     one, zero = field.one(), field.zero()
 

@@ -21,8 +21,10 @@ that encoding.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import or_
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -48,9 +50,40 @@ def _check_var_count(n: int):
         raise IndexOutOfRange("variable count %d outside 0..%d" % (n, MAX_VARIABLES))
 
 
+def _check_index(i: int, n: int):
+    if not (1 <= i <= n):
+        raise IndexOutOfRange("variable x%d outside 1..%d" % (i, n))
+
+
 def _shared_variables(shared: int) -> SharedVariables:
-    bits = [i + 1 for i in range(shared.bit_length()) if shared >> i & 1]
+    bits = [b.bit_length() for b in _bits(shared)]
     return SharedVariables("factors share variables %s" % bits)
+
+
+def _bits(mask: int) -> List[int]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(1 << i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def _support(coeffs) -> int:
+    """The mask of the variables that occur in a map's monomials."""
+    return reduce(or_, coeffs, 0)
+
+
+def _edges(coeffs: Dict[int, object]) -> Set[Tuple[int, int]]:
+    """The pairs (bi, bj), bi < bj, of variables sharing a monomial: since
+    stored coefficients are nonzero, exactly the edges d_i d_j p != 0 of
+    the interaction graph."""
+    edges: Set[Tuple[int, int]] = set()
+    for m in coeffs:
+        edges.update(combinations(_bits(m), 2))
+    return edges
 
 
 class _Poly:
@@ -122,8 +155,7 @@ class MultilinearPoly(_Poly):
 
     @classmethod
     def variable(cls, n: int, field: FieldDescriptor, i: int) -> "MultilinearPoly":
-        if not (1 <= i <= n):
-            raise IndexOutOfRange("variable x%d outside 1..%d" % (i, n))
+        _check_index(i, n)
         return cls(n, field, {1 << (i - 1): 1})
 
     # -- basic queries -----------------------------------------------------
@@ -136,14 +168,10 @@ class MultilinearPoly(_Poly):
         return all(m == 0 for m in self.coeffs)
 
     def var_mask(self) -> int:
-        mask = 0
-        for m in self.coeffs:
-            mask |= m
-        return mask
+        return _support(self.coeffs)
 
     def variables(self) -> List[int]:
-        mask = self.var_mask()
-        return [i + 1 for i in range(self.n) if mask & (1 << i)]
+        return [b.bit_length() for b in _bits(self.var_mask())]
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -198,13 +226,9 @@ class MultilinearPoly(_Poly):
 
     # -- the operator calculus --------------------------------------------
 
-    def _check_index(self, i: int):
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange("variable x%d outside 1..%d" % (i, self.n))
-
     def restrict(self, i: int, v: Scalar) -> "MultilinearPoly":
         """Substitute the field constant v for x_i."""
-        self._check_index(i)
+        _check_index(i, self.n)
         v = self.field.raw(v)
         bit = 1 << (i - 1)
         out = {}
@@ -219,7 +243,7 @@ class MultilinearPoly(_Poly):
 
     def partial(self, i: int) -> "MultilinearPoly":
         """Discrete partial derivative: p|_{x_i=1} - p|_{x_i=0}."""
-        self._check_index(i)
+        _check_index(i, self.n)
         bit = 1 << (i - 1)
         out = {m ^ bit: c for m, c in self.coeffs.items() if m & bit}
         return MultilinearPoly._trusted(self.n, self.field, out)
@@ -486,8 +510,8 @@ def commutator(p: MultilinearPoly, i: int, j: int) -> SparsePoly:
     """
     if i == j:
         raise EqualIndices("commutator needs two distinct variables")
-    p._check_index(i)
-    p._check_index(j)
+    _check_index(i, p.n)
+    _check_index(j, p.n)
     comm, _ = _commutator_raw(p.coeffs, 1 << (i - 1), 1 << (j - 1), p.field)
     return SparsePoly._trusted(p.n, p.field, comm)
 
@@ -495,18 +519,24 @@ def commutator(p: MultilinearPoly, i: int, j: int) -> SparsePoly:
 # -- named constructors ------------------------------------------------------
 
 
+def _by_degree(n: int, field: FieldDescriptor, weights: Dict[int, Scalar]) -> MultilinearPoly:
+    """The sum of weights[k] * S_n^k over the degrees k in ``weights``, built
+    degree by degree, each checked against 0..n and the variable cap first."""
+    coeffs = {}
+    for k, w in weights.items():
+        if not (0 <= k <= n):
+            raise IndexOutOfRange("need 0 <= k <= n, got k=%d, n=%d" % (k, n))
+        _check_var_count(n)  # before C(n, k) masks are built
+        w = field.raw(w)
+        if w:
+            for subset in combinations(range(n), k):
+                coeffs[sum(1 << i for i in subset)] = w
+    return MultilinearPoly._trusted(n, field, coeffs)
+
+
 def elementary_symmetric(n: int, k: int, field: FieldDescriptor = QQ) -> MultilinearPoly:
     """S_n^k: the sum of all degree-k multilinear monomials on n variables."""
-    if not (0 <= k <= n):
-        raise IndexOutOfRange("need 0 <= k <= n, got k=%d, n=%d" % (k, n))
-    _check_var_count(n)  # before C(n, k) masks are built
-    coeffs = {}
-    for subset in combinations(range(n), k):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        coeffs[mask] = 1
-    return MultilinearPoly(n, field, coeffs)
+    return _by_degree(n, field, {k: 1})
 
 
 def _infer_field(field: Optional[FieldDescriptor], *scalars) -> FieldDescriptor:
@@ -523,9 +553,7 @@ def m_poly(
 ) -> MultilinearPoly:
     """alpha*S_n^n + beta*S_n^{n-1}: the hierarchy family's witness."""
     field = _infer_field(field, alpha, beta)
-    top = elementary_symmetric(n, n, field).scale(field.elem(alpha))
-    sub = elementary_symmetric(n, n - 1, field).scale(field.elem(beta))
-    return top + sub
+    return _by_degree(n, field, {n: alpha, n - 1: beta})
 
 
 def family4(
@@ -550,8 +578,11 @@ def family4(
 def linear_dependent(polys: Sequence[MultilinearPoly]) -> Optional[List[FieldElem]]:
     """A nonzero coefficient vector (a_1..a_k) with sum a_i * p_i = 0, if any.
 
-    Exact Gaussian elimination on the coefficient matrix in the monomial
-    basis; the first dependence found is normalized to leading coefficient 1.
+    Exact Gaussian elimination, one raw map per row: p_r keyed by its masks,
+    plus the key -1-r that records the combination of inputs the row holds.
+    Rows are reduced by the earlier pivots in order; a row's pivot is its
+    smallest mask, and the first row left with no mask gives the
+    dependence, normalized to leading coefficient 1.
     """
     if not polys:
         return None
@@ -562,35 +593,23 @@ def linear_dependent(polys: Sequence[MultilinearPoly]) -> Optional[List[FieldEle
         if p.n != n:
             raise IndexOutOfRange("mixed variable counts in dependence test")
 
-    masks = sorted({m for p in polys for m in p.coeffs})
-    col = {m: idx for idx, m in enumerate(masks)}
-    zero = field.zero()
-    rows = []
-    combos = []
-    k = len(polys)
+    canon, one = field.canon, field.raw(1)
+    pivots: List[Tuple[int, dict]] = []
     for r, p in enumerate(polys):
-        vec = [zero] * len(masks)
-        for m, c in p.coeffs.items():
-            vec[col[m]] = FieldElem(field, c)
-        combo = [zero] * k
-        combo[r] = field.one()
-        rows.append(vec)
-        combos.append(combo)
-
-    pivots: List[Tuple[int, List[FieldElem], List[FieldElem]]] = []
-    for vec, combo in zip(rows, combos):
-        for pcol, pvec, pcombo in pivots:
-            c = vec[pcol]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, pvec)]
-                combo = [a - c * b for a, b in zip(combo, pcombo)]
-        lead = next((idx for idx, c in enumerate(vec) if not c.is_zero()), None)
+        row = dict(p.coeffs)
+        row[-1 - r] = one
+        for key, pivot in pivots:
+            c = row.get(key)
+            if c:
+                for k, v in pivot.items():
+                    row[k] = row.get(k, 0) - c * v
+                row = canon(row)
+        lead = min((k for k in row if k >= 0), default=None)
         if lead is None:
-            first = next(idx for idx, c in enumerate(combo) if not c.is_zero())
-            inv = combo[first].inverse()
-            return [c * inv for c in combo]
-        inv = vec[lead].inverse()
-        vec = [c * inv for c in vec]
-        combo = [c * inv for c in combo]
-        pivots.append((lead, vec, combo))
+            # only combination keys are left; the first input's is the largest
+            inv = field.inv(row[max(row)])
+            combo = (field.mul(row.get(-1 - i, 0), inv) for i in range(len(polys)))
+            return [FieldElem(field, c) for c in combo]
+        inv = field.inv(row[lead])
+        pivots.append((lead, canon({k: v * inv for k, v in row.items()})))
     return None

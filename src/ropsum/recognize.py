@@ -33,7 +33,6 @@ arithmetic, and takes the commutator from :mod:`ropsum.mpoly`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .decompose import _bivariate_rof, _mono_chain, _verified
@@ -45,9 +44,12 @@ from .errors import (
 )
 from .mpoly import (
     MultilinearPoly,
+    _bits,
     _commutator_raw,
     _disjoint_product,
+    _edges,
     _infer_field,
+    _support,
     family4,
     linear_dependent,
 )
@@ -66,17 +68,6 @@ from .scalars import FieldDescriptor, FieldElem, sqrt_in_field
 # ---------------------------------------------------------------------------
 # coefficient-map helpers
 # ---------------------------------------------------------------------------
-
-
-def _bits(mask: int) -> List[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(1 << i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _partition(bits: List[int], linked: Callable[[int, int], bool]) -> List[int]:
@@ -101,16 +92,6 @@ def _partition(bits: List[int], linked: Callable[[int, int], bool]) -> List[int]
     return [block[b] for b in bits if block[b] & -block[b] == b]
 
 
-def _edges(coeffs: Dict[int, object]) -> Set[Tuple[int, int]]:
-    """The pairs (bi, bj), bi < bj, of variables sharing a monomial: since
-    stored coefficients are nonzero, exactly the edges d_i d_j p != 0 of
-    the interaction graph."""
-    edges: Set[Tuple[int, int]] = set()
-    for m in coeffs:
-        edges.update(combinations(_bits(m), 2))
-    return edges
-
-
 def _separable(
     coeffs: Dict[int, object], bi: int, bj: int, field: FieldDescriptor
 ) -> bool:
@@ -132,11 +113,8 @@ def _factor_blocks(
     block's factor F_a times one nonzero constant; the k slices multiply to
     c0^(k-1) * f, so all but the last are divided by c0.
     """
-    vmask = 0
-    for m in coeffs:
-        vmask |= m
     blocks = _partition(
-        _bits(vmask), lambda bi, bj: not _separable(coeffs, bi, bj, field)
+        _bits(_support(coeffs)), lambda bi, bj: not _separable(coeffs, bi, bj, field)
     )
     if len(blocks) == 1:
         return [dict(coeffs)]
@@ -167,9 +145,7 @@ def _factor_blocks(
 
 
 def _is_rop_raw(coeffs: Dict[int, object], field: FieldDescriptor) -> Optional[Rof]:
-    vmask = 0
-    for m in coeffs:
-        vmask |= m
+    vmask = _support(coeffs)
     if vmask == 0:
         # A bare constant: realized on a zero-scaled leaf of x1.
         return Leaf(1, field.zero(), field.elem(coeffs.get(0, 0)))
@@ -235,9 +211,8 @@ def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
         c0 = field.sub(shifted.pop(0, 0), betahat)
         if c0:
             shifted[0] = c0
+        # two factors at least: the zero commutator makes f - beta = P*Q, x_i in P, x_j in Q
         factors = _factor_blocks(shifted, field)
-        if len(factors) < 2:
-            continue
         tree = _gate_chain(factors, MUL, field.elem(betahat), field)
         if tree is not None:
             return tree

@@ -30,7 +30,14 @@ from .errors import (
     TooFewVariables,
     TooManyVariables,
 )
-from .mpoly import MultilinearPoly, _check_var_count, _disjoint_product, _shared_variables
+from .mpoly import (
+    MultilinearPoly,
+    _check_var_count,
+    _disjoint_product,
+    _edges,
+    _shared_variables,
+    _support,
+)
 from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
 ADD = "add"
@@ -161,9 +168,7 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
             support = left_vars | right_vars
             if left_vars & right_vars:
                 # only monomials on shared variables can cancel
-                support = 0
-                for m in coeffs:
-                    support |= m
+                support = _support(coeffs)
         elif node.op != MUL:
             refuse_invalid([_unknown_op(node.op)])
         else:
@@ -215,18 +220,14 @@ def is_multiplicative_structural(rof: Rof) -> bool:
 
 
 def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
-    """True iff every mixed partial over Var(p) is nonzero.
+    """True iff every mixed partial over Var(p) is nonzero, that is, the
+    interaction graph on Var(p) is complete.
 
     This characterizes multiplicative read-once polynomials among read-once
     polynomials; the caller is responsible for p being one.
     """
-    var_list = p.variables()
-    for idx, i in enumerate(var_list):
-        pi = p.partial(i)
-        for j in var_list[idx + 1 :]:
-            if pi.partial(j).is_zero():
-                return False
-    return True
+    k = p.var_mask().bit_count()
+    return len(_edges(p.coeffs)) == k * (k - 1) // 2
 
 
 def refuse_invalid(violations: List[Violation]) -> None:
@@ -302,8 +303,8 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
             i, a = min(leaf_vars(pair_side)), field.zero()
         else:
             i, a = solo.var, -solo.beta / solo.alpha
-    restricted = evaluate(rof).restrict(i, a)
-    assert restricted.degree() <= 1
+    if evaluate(rof).restrict(i, a).degree() > 1:
+        raise RopsumError("internal: restriction left a degree above 1")
     return i, a
 
 
@@ -351,11 +352,11 @@ def sum_evaluate(s: RopSum) -> MultilinearPoly:
 
 
 def verify_against(s: RopSum, target: MultilinearPoly) -> bool:
-    """Exact polynomial equality of the sum against a target."""
+    """Exact polynomial equality of the sum against a target, compared as
+    coefficient maps, so the two variable counts may differ."""
     if target.field != s.field:
         raise FieldMismatch("sum over %s, target over %s" % (s.field, target.field))
-    n = max(s.n, target.n)
-    return sum_evaluate(s).with_n(n) == target.with_n(n)
+    return sum_evaluate(s).coeffs == target.coeffs
 
 
 # -- text form ---------------------------------------------------------------

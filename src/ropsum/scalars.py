@@ -23,19 +23,29 @@ from .errors import DivisionByZero, FieldMismatch, ParseError, PreconditionViola
 MAX_PRIME = 2**31
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check, adequate for machine-word moduli."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin primality test: the prime bases up to 37
+    decide every p below 318665857834031151167461 (about 3.2 * 10^23, the
+    least composite that passes them all), far above MAX_PRIME."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    # p - 1 = d * 2^s with d odd; p passes base a when a^d = 1 or some
+    # a^(d * 2^r) with r < s is -1
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

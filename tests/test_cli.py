@@ -357,6 +357,13 @@ def test_exit_code_verify_json_entry_not_a_string(capsys):
 def test_exit_code_symmetric_strategy_bad_n(capsys):
     code, _, err = run(capsys, "decompose", "--strategy", "symmetric:abc,1,1")
     assert code == 2 and "parse error" in err
+    code, out, err = run(capsys, "decompose", "--strategy", "symmetric:5,1")
+    assert code == 2 and out == "" and "needs n,alpha,beta" in err
+
+
+def test_exit_code_field_modulus_not_an_integer(capsys):
+    code, out, err = run(capsys, "parse", "--field", "fp:abc", "x1")
+    assert code == 2 and out == "" and "bad field spec 'fp:abc'" in err
 
 
 def test_oracle_min_k_target_is_parsed_before_the_class(capsys):

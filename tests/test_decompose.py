@@ -242,9 +242,9 @@ def test_sympoly4_rejects_char2():
 
 
 def test_strategies_build_from_coefficients_and_expand_once(monkeypatch):
-    """generic, pair_monomials and sympoly4 build their formulas straight
-    from coefficients: no polynomial ring operation, and one expansion of
-    the sum, the final check."""
+    """generic, pair_monomials, symmetric_halves and sympoly4 build their
+    formulas straight from coefficients: no polynomial ring operation, and
+    one expansion of the sum, the final check."""
     import ropsum.decompose as decompose_module
     import ropsum.rof as rof_module
 
@@ -271,6 +271,9 @@ def test_strategies_build_from_coefficients_and_expand_once(monkeypatch):
         for n in (1, 2, 3, 4, 5, 7, 9):
             p = random_poly(rng, n, field, density=0.6)
             calls += [lambda p=p: generic(p), lambda p=p: pair_monomials(p)]
+        for n in range(1, 10):
+            for beta in (0, 3):
+                calls.append(lambda n=n, b=beta, field=field: symmetric_halves(n, 2, b, field))
         # every row of the case table: a2 = a3 = 0; a2 = 0; a2*a4 = a3^2; general
         for coeffs in ((1, 2, 0, 0, 3), (1, 2, 0, 3, 4), (1, 3, 1, 1, 1), (1, 2, 3, 4, 5)):
             calls.append(lambda coeffs=coeffs, field=field: sympoly4(*coeffs, field=field))

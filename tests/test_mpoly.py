@@ -164,6 +164,20 @@ def test_elementary_symmetric_refuses_large_n_before_enumerating():
     assert time.perf_counter() - start < 0.5
 
 
+def test_elementary_symmetric_refuses_a_degree_outside_0_to_n():
+    # the degree is checked before the variable count
+    for n, k in ((3, 4), (31, 40)):
+        with pytest.raises(IndexOutOfRange) as exc:
+            elementary_symmetric(n, k)
+        assert str(exc.value) == "need 0 <= k <= n, got k=%d, n=%d" % (k, n)
+
+
+def test_variable_refuses_an_index_outside_1_to_n():
+    with pytest.raises(IndexOutOfRange) as exc:
+        MultilinearPoly.variable(2, QQ, 3)
+    assert str(exc.value) == "variable x3 outside 1..2"
+
+
 def test_m_poly_is_symmetric_combination():
     assert m_poly(3, 0, 1) == elementary_symmetric(3, 2)
     assert m_poly(3, 2, 3) == P(
@@ -201,6 +215,13 @@ def test_linear_dependent_examples():
 
     p = P(2, {0b11: 3, 0: 1})
     assert linear_dependent([p, p]) == [QQ.one(), QQ.elem(-1)]
+
+
+def test_linear_dependent_of_nothing_and_of_mixed_variable_counts():
+    assert linear_dependent([]) is None
+    with pytest.raises(IndexOutOfRange) as exc:
+        linear_dependent([MultilinearPoly.variable(2, QQ, 1), MultilinearPoly.variable(3, QQ, 1)])
+    assert str(exc.value) == "mixed variable counts in dependence test"
 
 
 def test_linear_dependent_field_mismatch():

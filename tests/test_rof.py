@@ -5,6 +5,7 @@ import pytest
 
 from ropsum import (
     QQ,
+    DegenerateLeaf,
     FieldDescriptor,
     FieldMismatch,
     IndexOutOfRange,
@@ -12,6 +13,7 @@ from ropsum import (
     NotMultiplicative,
     ParseError,
     PreconditionViolated,
+    RopsumError,
     SharedVariables,
     TooFewVariables,
     TooManyVariables,
@@ -134,6 +136,13 @@ def test_verify_against_refuses_a_summand_of_another_field():
         verify_against(s, MultilinearPoly.variable(1, F5, 1))
     with pytest.raises(FieldMismatch):
         sum_evaluate(s)
+
+
+def test_verify_against_refuses_a_target_of_another_field():
+    s = RopSum(prime_field(5), 1, (Leaf(1, prime_field(5).one(), prime_field(5).zero()),))
+    with pytest.raises(FieldMismatch) as exc:
+        verify_against(s, MultilinearPoly.variable(1, QQ, 1))
+    assert str(exc.value) == "sum over F_5, target over Q"
 
 
 def test_evaluation_refuses_a_gate_that_is_neither_add_nor_mul():
@@ -274,6 +283,13 @@ def test_mrops_witness_needs_two_variables():
         mrops_witness(leaf(1), 1)
 
 
+def test_mrops_witness_refuses_an_absent_variable_and_a_zero_scale():
+    with pytest.raises(IndexOutOfRange, match="x3 does not occur in the formula"):
+        mrops_witness(gate(MUL, leaf(1), leaf(2)), 3)
+    with pytest.raises(DegenerateLeaf):
+        mrops_witness(gate(MUL, leaf(1, 0, 1), leaf(2)), 2)
+
+
 def test_mrops_witness_random_identity():
     rng = random.Random(77)
     for _ in range(300):
@@ -298,6 +314,24 @@ def test_three_var_restriction_cases():
     i, a = three_var_linearizing_restriction(t)
     assert (i, a) == (1, QQ.elem(Fraction(-1, 2)))
     assert evaluate(t).restrict(i, a).degree() <= 0
+
+
+def test_three_var_restriction_under_a_zero_scale_factor():
+    # 2 * x2 * x3: the single-variable factor is the constant 2, so a
+    # variable of the other factor is zeroed
+    t = gate(MUL, leaf(1, 0, 2), gate(MUL, leaf(2), leaf(3)))
+    assert three_var_linearizing_restriction(t) == (2, ZERO)
+    assert evaluate(t).restrict(2, ZERO).is_zero()
+
+
+def test_three_var_restriction_check_survives_optimized_mode(monkeypatch):
+    # the check is a raise, not an assert that python -O strips
+    import ropsum.rof as rof_module
+
+    square = MultilinearPoly(3, QQ, {0b101: 1})  # x1*x3, untouched by x2 = 0
+    monkeypatch.setattr(rof_module, "evaluate", lambda rof, n=None: square)
+    with pytest.raises(RopsumError, match="internal"):
+        three_var_linearizing_restriction(gate(ADD, leaf(1), gate(MUL, leaf(2), leaf(3))))
 
 
 def test_three_var_restriction_arity():

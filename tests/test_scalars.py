@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ropsum import (
     prime_field,
     sqrt_in_field,
 )
+from ropsum.scalars import is_prime
 
 F7 = prime_field(7)
 
@@ -61,6 +63,17 @@ def test_prime_validation():
         prime_field(1)
     prime_field(2)
     prime_field(2147483647)  # largest prime below 2^31
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert all(is_prime(p) == trial_division(p) for p in range(-3, 200_000))
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+    for n in (2047, 1373653, 25326001, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1)
 
 
 def test_sqrt_rational():
