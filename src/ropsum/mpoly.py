@@ -10,13 +10,12 @@ pairwise commutator, and the named constructors (elementary symmetric
 polynomials, the top-degree combinations used by the hierarchy bound, and
 the weighted 4-variable quadratic family) all live here.
 
-Two multiplications are exposed on purpose: ``mul_disjoint`` keeps the
-result multilinear and refuses shared variables, while ``mul_general``
-returns a :class:`SparsePoly` because commutators genuinely leave the
-multilinear world (individual degrees up to 2, and up to 4 after one more
-product).  Non-multilinear monomials are packed into one int with
-``_WIDTH`` bits per variable, and ``_mul_packed`` is the one product on
-that encoding.
+The one product of two multilinear polynomials, ``mul_disjoint``, keeps
+the result multilinear and refuses shared variables.  The one object that
+leaves the multilinear world is the pairwise commutator A*D - B*C, whose
+individual degrees reach 2; it is a :class:`SparsePoly`, with each
+monomial packed into one int of ``_WIDTH`` bits per variable, and
+``_mul_packed`` is the one product on that encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
-    DivisionByZero,
     EqualIndices,
     FieldMismatch,
     IndexOutOfRange,
@@ -202,14 +200,6 @@ class MultilinearPoly(_Poly):
         out = {m: x * v for m, x in self.coeffs.items()} if v else {}
         return MultilinearPoly._trusted(self.n, self.field, self.field.canon(out))
 
-    def add_constant(self, c: Scalar) -> "MultilinearPoly":
-        field = self.field
-        out = dict(self.coeffs)
-        c0 = field.add(out.pop(0, 0), field.raw(c))
-        if c0:
-            out[0] = c0
-        return MultilinearPoly._trusted(self.n, field, out)
-
     def mul_disjoint(self, other: "MultilinearPoly") -> "MultilinearPoly":
         """Product of variable-disjoint factors; stays multilinear."""
         self._check_compat(other)
@@ -218,11 +208,6 @@ class MultilinearPoly(_Poly):
             raise _shared_variables(shared)
         out = _disjoint_product(self.coeffs, other.coeffs, self.field)
         return MultilinearPoly._trusted(self.n, self.field, out)
-
-    def mul_general(self, other: "MultilinearPoly") -> "SparsePoly":
-        """Unrestricted product; the result may have individual degree 2."""
-        self._check_compat(other)
-        return SparsePoly.from_multilinear(self) * SparsePoly.from_multilinear(other)
 
     # -- the operator calculus --------------------------------------------
 
@@ -305,10 +290,10 @@ def format_poly(p: "MultilinearPoly") -> str:
 
 # -- packed exponents ----------------------------------------------------------
 
-# Bits per variable in a packed exponent.  Exponents are capped at
-# SparsePoly.MAX_EXPONENT = 4, so an exponent in the product of two
-# polynomials is at most 8 < 2^_WIDTH and never carries into the next
-# variable.
+# Bits per variable in a packed exponent.  The public constructor caps
+# exponents at SparsePoly.MAX_EXPONENT = 4 < 2^_WIDTH, and a commutator
+# multiplies two multilinear maps, so its exponents are at most 2: no
+# exponent carries into the next variable.
 _WIDTH = 4
 _FIELD_MASK = (1 << _WIDTH) - 1
 _SPREAD: Dict[int, int] = {}
@@ -322,10 +307,6 @@ def _spread(mask: int) -> int:
         out = sum(1 << (_WIDTH * i) for i in range(mask.bit_length()) if mask >> i & 1)
         _SPREAD[mask] = out
     return out
-
-
-def _spread_keys(coeffs: dict) -> dict:
-    return {_spread(m): c for m, c in coeffs.items()}
 
 
 def _exponents(key: int, n: int) -> Tuple[int, ...]:
@@ -350,10 +331,11 @@ class SparsePoly(_Poly):
     """A small-degree polynomial; each monomial is a packed exponent that
     holds the exponent of x_i in bits [_WIDTH*(i-1), _WIDTH*i).
 
-    Individual exponents are bounded by 4: the largest objects the package
-    ever builds are products of two individually-quadratic polynomials
-    (squares of multilinear restrictions).  The public constructor takes
-    exponent tuples.
+    The package builds one kind: the commutator A*D - B*C of a
+    multilinear polynomial, whose individual exponents are at most 2 since
+    A, B, C and D are multilinear.  The public constructor takes exponent
+    tuples, each exponent in 0..MAX_EXPONENT, so results can be compared
+    against polynomials built outside the package.
     """
 
     MAX_EXPONENT = 4
@@ -366,7 +348,7 @@ class SparsePoly(_Poly):
         field: FieldDescriptor,
         coeffs: Dict[Tuple[int, ...], Scalar],
     ):
-        _check_var_count(n)  # _OVER, _TOP and _BORROW cover MAX_VARIABLES fields
+        _check_var_count(n)
         clean = {}
         for exps, c in coeffs.items():
             if len(exps) != n:
@@ -380,84 +362,8 @@ class SparsePoly(_Poly):
         self.field = field
         self.coeffs = clean
 
-    @classmethod
-    def from_multilinear(cls, p: MultilinearPoly) -> "SparsePoly":
-        return cls._trusted(p.n, p.field, _spread_keys(p.coeffs))
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compat(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return SparsePoly._trusted(self.n, self.field, self.field.canon(out))
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        neg = other.field.neg
-        out = {k: neg(c) for k, c in other.coeffs.items()}
-        return self + SparsePoly._trusted(other.n, other.field, out)
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compat(other)
-        out = _mul_packed(self.coeffs, other.coeffs, self.field)
-        if any((k + _OVER) & _TOP for k in out):
-            raise IndexOutOfRange("individual exponent outside 0..4")
-        return SparsePoly._trusted(self.n, self.field, out)
-
-    def divide_exact(self, divisor: "SparsePoly") -> Optional["SparsePoly"]:
-        """Exact quotient self / divisor, or None when division is inexact.
-
-        Plain multivariate long division on packed keys, whose integer order
-        is a lex order (x_n first); for a single divisor the remainder
-        vanishes exactly when the divisor divides self.  An exact quotient
-        divides self, so its exponents are at most MAX_EXPONENT; a larger
-        one means the division is inexact.  That bound keeps every
-        remainder exponent at most 2 * MAX_EXPONENT, inside its field.  The
-        leading key strictly decreases at every step, so each quotient
-        monomial is produced once.
-        """
-        self._check_compat(divisor)
-        if divisor.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
-        field = self.field
-        lead = max(divisor.coeffs)
-        lead_c = divisor.coeffs[lead]
-        rem = dict(self.coeffs)
-        quot = {}
-        while rem:
-            e = max(rem)
-            shift = e - lead
-            # a borrow out of a field: some exponent of e is below lead's;
-            # a quotient exponent above MAX_EXPONENT: inexact, as above
-            if (e ^ lead ^ shift) & _BORROW or (shift + _OVER) & _TOP:
-                return None
-            factor = field.div(rem[e], lead_c)
-            quot[shift] = factor
-            for de, dc in divisor.coeffs.items():
-                t = shift + de
-                s = field.sub(rem.get(t, 0), field.mul(dc, factor))
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        return SparsePoly._trusted(self.n, field, quot)
-
     def __str__(self):
         return sparse_str(self)
-
-
-# In a product of two SparsePolys every exponent e is at most
-# 2 * MAX_EXPONENT = 8, and e + 3 reaches bit 3 of its field exactly when
-# e > MAX_EXPONENT, without carrying out of the field.
-_OVER = sum(
-    ((1 << (_WIDTH - 1)) - 1 - SparsePoly.MAX_EXPONENT) << (_WIDTH * i)
-    for i in range(MAX_VARIABLES)
-)
-_TOP = sum((1 << (_WIDTH - 1)) << (_WIDTH * i) for i in range(MAX_VARIABLES))
-# The lowest bit of every field above the first, and of the one past the
-# last: a - b borrows out of some field of a exactly when (a ^ b ^ (a - b))
-# has one of these bits set (a negative difference sets the last).
-_BORROW = sum(1 << (_WIDTH * i) for i in range(1, MAX_VARIABLES + 1))
 
 
 def sparse_str(p: SparsePoly) -> str:

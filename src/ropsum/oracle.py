@@ -36,6 +36,16 @@ _FEASIBLE = {2: 5, 3: 4, 5: 3}
 KMAX_LIMIT = 4
 
 
+def _check_feasible(p: int, n: int):
+    """Refuse (p, n) outside the feasible range: no class exists there to
+    query, and p^(2^n), with 2^n digits, is too large to build."""
+    limit = _FEASIBLE.get(p)
+    if limit is None or n > limit or n < 1:
+        raise InfeasibleParameters(
+            "supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3"
+        )
+
+
 @dataclass(frozen=True)
 class PackedPoly:
     """A multilinear polynomial over F_p on n variables, packed into an int:
@@ -46,6 +56,7 @@ class PackedPoly:
     value: int
 
     def __post_init__(self):
+        _check_feasible(self.p, self.n)
         if self.value < 0 or self.value >= self.p ** (1 << self.n):
             raise PreconditionViolated("packed value outside its digit range")
 
@@ -55,6 +66,7 @@ def pack(poly: MultilinearPoly) -> PackedPoly:
     if poly.field.kind != "prime":
         raise ParameterMismatch("packing needs a prime-field polynomial")
     p = poly.field.p
+    _check_feasible(p, poly.n)
     value = 0
     for mask, c in poly.coeffs.items():
         value += c * p**mask
@@ -178,11 +190,7 @@ def _enumerate(p: int, n: int) -> Iterator[int]:
 
 def enumerate_rops(p: int, n: int) -> RopClass:
     """All read-once computable functions over F_p on variables x_1..x_n."""
-    limit = _FEASIBLE.get(p)
-    if limit is None or n > limit or n < 1:
-        raise InfeasibleParameters(
-            "supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3"
-        )
+    _check_feasible(p, n)
     return RopClass(p, n, _enumerate(p, n))
 
 

@@ -105,7 +105,7 @@ def _factor_blocks(
 ) -> List[Dict[int, object]]:
     """Maximal variable-disjoint factorization of a nonconstant map, ordered
     by lowest variable; the returned factors multiply back to the input
-    exactly (asserted).
+    exactly, and a product that does not raises ``RopsumError``.
 
     The blocks are the connected components of "not separable".  For a
     monomial m0 of f with coefficient c0, the monomials of f that agree

@@ -24,12 +24,18 @@ MAX_PRIME = 2**31
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_DECIDE_BELOW = 318665857834031151167461
 
 
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin primality test: the prime bases up to 37
     decide every p below 318665857834031151167461 (about 3.2 * 10^23, the
-    least composite that passes them all), far above MAX_PRIME."""
+    least composite that passes them all), far above MAX_PRIME.  From there
+    on it has no answer and raises ``PreconditionViolated``."""
+    if p >= _BASES_DECIDE_BELOW:
+        raise PreconditionViolated(
+            "primality is decided only below %d" % _BASES_DECIDE_BELOW
+        )
     if p < 2 or any(p % a == 0 for a in _BASES):
         return p in _BASES
     # p - 1 = d * 2^s with d odd; p passes base a when a^d = 1 or some

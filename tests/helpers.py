@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
-from ropsum import QQ, FieldDescriptor, MultilinearPoly
+from ropsum import QQ, FieldDescriptor, MultilinearPoly, SparsePoly
 from ropsum.rof import ADD, MUL, Gate, Leaf, Rof
 
 
@@ -164,3 +164,15 @@ def random_linear_form(
         p = MultilinearPoly(n, field, coeffs)
         if not p.is_zero():
             return p
+
+
+def product_sum(n: int, field: FieldDescriptor, terms) -> SparsePoly:
+    """The sum of sign*a*b over (sign, a, b) in terms, formed on exponent
+    tuples: no code is shared with the package's packed product."""
+    out: Dict[Tuple[int, ...], object] = {}
+    for sign, a, b in terms:
+        for ma, ca in a.coeffs.items():
+            for mb, cb in b.coeffs.items():
+                exps = tuple((ma >> i & 1) + (mb >> i & 1) for i in range(n))
+                out[exps] = out.get(exps, 0) + sign * ca * cb
+    return SparsePoly(n, field, out)

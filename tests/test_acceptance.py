@@ -23,7 +23,7 @@ from ropsum import (
     sqrt_in_field,
 )
 from ropsum.decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from ropsum.mpoly import SparsePoly, commutator
+from ropsum.mpoly import commutator
 from ropsum.oracle import closure_report, enumerate_rops, min_k, pack, unpack, PackedPoly
 from ropsum.recognize import family4_decide, is_rop
 from ropsum.rof import evaluate, mrops_witness, validate, verify_against
@@ -31,6 +31,7 @@ from ropsum.rof import evaluate, mrops_witness, validate, verify_against
 from helpers import (
     f2_evals_to_coeff_mask,
     f2_rof_summaries,
+    product_sum,
     random_linear_form,
     random_poly,
     random_rof,
@@ -200,7 +201,7 @@ def test_criterion_5_constructive_upper_bounds():
             n = rng.randint(1, 8)
             p = random_poly(rng, n, QQ, density=rng.uniform(0.2, 0.8))
             if p.is_zero():
-                p = p.add_constant(1)
+                p = p + MultilinearPoly.constant(n, QQ, 1)
             s = pair_monomials(p)
             assert len(s.summands) <= math.ceil(len(p.coeffs) / 2)
             assert verify_against(s, p)
@@ -251,10 +252,11 @@ def test_criterion_6_commutator_divisibility_and_witness_identity():
             l3 = random_linear_form(rng, 4, (1, 3), QQ)
             l4 = random_linear_form(rng, 4, (2, 4), QQ)
             f = l1.mul_disjoint(l2) + l3.mul_disjoint(l4)
-            delta = commutator(f, 1, 2)
-            quotient = delta.divide_exact(SparsePoly.from_multilinear(l2))
-            assert quotient is not None
-            assert quotient * SparsePoly.from_multilinear(l2) == delta
+            # A*D - B*C = l2 * q, q = a0*b1*d2 - a1*a2*l2 - a1*d2*(b0 + b3 x3) - a2*b1*(d0 + d4 x4)
+            (a0, a1, a2), b1, d2 = map(l1.coeff, (0, 1, 2)), l3.coeff(1), l4.coeff(2)
+            q = MultilinearPoly.constant(4, QQ, a0 * b1 * d2) - l2.scale(a1 * a2)
+            q = q - l3.restrict(1, 0).scale(a1 * d2) - l4.restrict(2, 0).scale(a2 * b1)
+            assert commutator(f, 1, 2) == product_sum(4, QQ, [(1, q, l2)])
 
         for _ in range(500):
             n = rng.randint(2, 7)

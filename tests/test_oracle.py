@@ -2,6 +2,7 @@ import hashlib
 import random
 import statistics
 import struct
+import time
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_enumeration_feasibility_table():
     for p, n in [(2, 6), (3, 5), (5, 4), (7, 1), (4, 1)]:
         with pytest.raises(InfeasibleParameters):
             enumerate_rops(p, n)
+    # pack and PackedPoly refuse before p^(2^n): one F_3 monomial took seconds at n=22
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleParameters):
+        pack(MultilinearPoly(22, prime_field(3), {(1 << 22) - 1: 1}))
+    with pytest.raises(InfeasibleParameters):
+        PackedPoly(3, 30, 0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_odd_prime_class_contains_and_excludes():
@@ -120,7 +128,7 @@ def test_odd_prime_affine_closure_of_members():
     for _ in range(100):
         v = rng.choice(cls.members)
         poly = unpack(PackedPoly(3, 2, v))
-        scaled = poly.scale(2).add_constant(1)
+        scaled = poly.scale(2) + MultilinearPoly.constant(2, poly.field, 1)
         assert pack(scaled).value in cls
 
 

@@ -167,7 +167,7 @@ def _reference(node, n):
     else:
         left, right = _reference(node.left, n), _reference(node.right, n)
         x = left + right if node.op == ADD else left.mul_disjoint(right)
-    return x.scale(node.alpha).add_constant(node.beta)
+    return x.scale(node.alpha) + MultilinearPoly.constant(n, x.field, node.beta)
 
 
 def _outcome(compute):

@@ -74,6 +74,9 @@ def test_is_prime_agrees_with_trial_division():
     for n in (2047, 1373653, 25326001, 3215031751):
         assert not is_prime(n)
     assert is_prime(2**31 - 1)
+    # composite, and a strong pseudoprime to every base up to 37
+    with pytest.raises(PreconditionViolated, match="decided only below"):
+        is_prime(318665857834031151167461)
 
 
 def test_sqrt_rational():
