@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
 from .errors import ParseError, PreconditionError
 from .mpoly import MultilinearPoly, _check_var_count, commutator, format_poly, sparse_str
-from .oracle import closure_report, enumerate_rops, min_k, pack
+from .oracle import _check_kmax, closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import (
     RopSum,
@@ -39,7 +39,6 @@ from .rof import (
     print_rof,
     refuse_invalid,
     sum_validate,
-    validate,
     verify_against,
 )
 from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
@@ -151,7 +150,6 @@ def _cmd_parse(args, field) -> int:
 
 def _cmd_eval(args, field) -> int:
     rof = parse_rof(_read_arg(args.rof), field)
-    refuse_invalid(validate(rof))
     print(format_poly(evaluate(rof)))
     return 0
 
@@ -232,6 +230,7 @@ def _cmd_refute2(args, field) -> int:
 
 
 def _cmd_oracle(args, field) -> int:
+    _check_kmax(args.kmax)  # with or without --min-k, before any enumeration
     target = None
     if args.min_k is not None:  # a bad target is refused before any enumeration
         target = parse_poly_text(_read_arg(args.min_k), field)

@@ -20,7 +20,7 @@ monomial packed into one int of ``_WIDTH`` bits per variable, and
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -51,11 +51,6 @@ def _check_var_count(n: int):
 def _check_index(i: int, n: int):
     if not (1 <= i <= n):
         raise IndexOutOfRange("variable x%d outside 1..%d" % (i, n))
-
-
-def _shared_variables(shared: int) -> SharedVariables:
-    bits = [b.bit_length() for b in _bits(shared)]
-    return SharedVariables("factors share variables %s" % bits)
 
 
 def _bits(mask: int) -> List[int]:
@@ -205,7 +200,8 @@ class MultilinearPoly(_Poly):
         self._check_compat(other)
         shared = self.var_mask() & other.var_mask()
         if shared:
-            raise _shared_variables(shared)
+            bits = [b.bit_length() for b in _bits(shared)]
+            raise SharedVariables("factors share variables %s" % bits)
         out = _disjoint_product(self.coeffs, other.coeffs, self.field)
         return MultilinearPoly._trusted(self.n, self.field, out)
 
@@ -296,17 +292,14 @@ def format_poly(p: "MultilinearPoly") -> str:
 # exponent carries into the next variable.
 _WIDTH = 4
 _FIELD_MASK = (1 << _WIDTH) - 1
-_SPREAD: Dict[int, int] = {}
 
 
+@lru_cache(maxsize=4096)
 def _spread(mask: int) -> int:
     """The packed exponent of a multilinear monomial: bit i of the subset
-    mask moves to bit _WIDTH*i."""
-    out = _SPREAD.get(mask)
-    if out is None:
-        out = sum(1 << (_WIDTH * i) for i in range(mask.bit_length()) if mask >> i & 1)
-        _SPREAD[mask] = out
-    return out
+    mask moves to bit _WIDTH*i, by reading the mask's binary digits in
+    base 2^_WIDTH."""
+    return int(format(mask, "b"), 1 << _WIDTH)
 
 
 def _exponents(key: int, n: int) -> Tuple[int, ...]:

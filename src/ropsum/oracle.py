@@ -46,6 +46,11 @@ def _check_feasible(p: int, n: int):
         )
 
 
+def _check_kmax(kmax: int):
+    if not (1 <= kmax <= KMAX_LIMIT):
+        raise PreconditionViolated("kmax must be between 1 and %d" % KMAX_LIMIT)
+
+
 @dataclass(frozen=True)
 class PackedPoly:
     """A multilinear polynomial over F_p on n variables, packed into an int:
@@ -273,8 +278,7 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
     witness, while a negative answer at k=3 costs one k=2 join per member.
     """
     _check_target(target, cls)
-    if not (1 <= kmax <= KMAX_LIMIT):
-        raise PreconditionViolated("kmax must be between 1 and %d" % KMAX_LIMIT)
+    _check_kmax(kmax)
     p = cls.p
 
     def reachable(t: int, k: int) -> bool:

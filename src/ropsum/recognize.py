@@ -223,8 +223,9 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
     """A read-once formula computing p exactly, or None if p is not a
     read-once polynomial over its field.
 
-    The returned witness always re-evaluates to p (checked before return).
-    Requires n >= 1 so that constant polynomials have a leaf to sit on.
+    The returned witness always re-evaluates to p, and the re-evaluation
+    refuses it unless it reads each variable at most once (both checked
+    before return).  Requires n >= 1 so that constant polynomials have a leaf to sit on.
     """
     if p.n < 1:
         raise PreconditionViolated("recognition needs a variable range of n >= 1")

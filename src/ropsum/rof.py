@@ -11,7 +11,10 @@ variables freely, each tree alone may not.
 
 ``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
 which walks a tree once over raw coefficient maps (see
-:mod:`ropsum.mpoly`) and builds no polynomial object per node.
+:mod:`ropsum.mpoly`) and builds no polynomial object per node.  It
+refuses, with ``validate``'s report, any tree that ``validate`` flags, so
+each check that a sum computes its target also checks that every summand
+is read-once.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .mpoly import (
     _check_var_count,
     _disjoint_product,
     _edges,
-    _shared_variables,
-    _support,
 )
 from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
@@ -96,10 +97,6 @@ def field_of(rof: Rof) -> FieldDescriptor:
     return rof.alpha.field
 
 
-def _unknown_op(op) -> Violation:
-    return Violation("bad_gate", "unknown op %r" % op)
-
-
 def validate(rof: Rof) -> List[Violation]:
     """All read-once / consistency violations; an empty list means valid."""
     violations: List[Violation] = []
@@ -121,7 +118,7 @@ def validate(rof: Rof) -> List[Violation]:
                 )
             seen[node.var] = seen.get(node.var, 0) + 1
         elif node.op not in (ADD, MUL):
-            violations.append(_unknown_op(node.op))
+            violations.append(Violation("bad_gate", "unknown op %r" % node.op))
     for v, count in sorted(seen.items()):
         if count > 1:
             violations.append(
@@ -134,77 +131,72 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
     """The canonical raw coefficient map of the polynomial the formula
     computes over ``field``, on variables x_1..x_n.
 
-    One walk keeps a (map, support) pair per node, the support being the
-    union of the map's monomials.  A scalar of another field raises
-    ``FieldMismatch``, a product of factors whose supports meet raises
-    ``SharedVariables``, a leaf outside 1..n raises ``IndexOutOfRange`` and
-    a gate other than add or mul is refused as ``validate`` words it.
+    One walk keeps a (map, leaves) pair per node, ``leaves`` being the mask
+    of the variables its leaves read.  The sides of a gate must read
+    disjoint variables, so a sum meets only in its constant term.  A gate
+    whose sides share a variable, or whose op is neither add nor mul,
+    refuses the formula with ``validate``'s report; a scalar of another
+    field raises ``FieldMismatch`` and a leaf outside 1..n
+    ``IndexOutOfRange``.
     """
     _check_var_count(n)
 
     canon = field.canon
     values: List[Tuple[dict, int]] = []
     for node in _post_order(rof):
-        if isinstance(node, Leaf):
-            if not (1 <= node.var <= n):
-                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
-            a, b = node.alpha, node.beta
-            alpha = a.value if a.field is field else field.raw(a)
-            beta = b.value if b.field is field else field.raw(b)
-            bit = 1 << (node.var - 1) if alpha else 0
-            coeffs = {bit: alpha} if alpha else {}
-            if beta:
-                coeffs[0] = beta
-            values.append((coeffs, bit))
-            continue
-        right, right_vars = values.pop()
-        left, left_vars = values.pop()
-        if node.op == ADD:
-            coeffs = dict(left)
-            for m, c in right.items():
-                s = coeffs.get(m)
-                coeffs[m] = c if s is None else s + c
-            coeffs = canon(coeffs)
-            support = left_vars | right_vars
-            if left_vars & right_vars:
-                # only monomials on shared variables can cancel
-                support = _support(coeffs)
-        elif node.op != MUL:
-            refuse_invalid([_unknown_op(node.op)])
-        else:
-            if left_vars & right_vars:
-                raise _shared_variables(left_vars & right_vars)
-            # a factor that is a bare monomial only moves the other's keys
-            if len(left) == 1 and left.get(left_vars) == 1:
-                coeffs = {left_vars | m: c for m, c in right.items()}
-            elif len(right) == 1 and right.get(right_vars) == 1:
-                coeffs = {m | right_vars: c for m, c in left.items()}
-            else:
-                coeffs = _disjoint_product(left, right, field)
-            support = left_vars | right_vars if coeffs else 0
-        # most gates of a decomposition carry the identity pair (1, 0)
         a, b = node.alpha, node.beta
         alpha = a.value if a.field is field else field.raw(a)
         beta = b.value if b.field is field else field.raw(b)
+        if isinstance(node, Leaf):
+            if not (1 <= node.var <= n):
+                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
+            leaves = 1 << (node.var - 1)
+            coeffs = {leaves: alpha} if alpha else {}
+            if beta:
+                coeffs[0] = beta
+            values.append((coeffs, leaves))
+            continue
+        right, right_leaves = values.pop()
+        left, left_leaves = values.pop()
+        if left_leaves & right_leaves or node.op not in (ADD, MUL):
+            refuse_invalid(validate(rof))
+        if node.op == ADD:
+            # disjoint sides meet only in the constant term
+            coeffs = {**left, **right}
+            if 0 in left and 0 in right:
+                _add_to_constant(coeffs, left[0], field)
+        # a factor that is the bare monomial of its leaves only moves the
+        # other's keys
+        elif len(left) == 1 and left.get(left_leaves) == 1:
+            coeffs = {left_leaves | m: c for m, c in right.items()}
+        elif len(right) == 1 and right.get(right_leaves) == 1:
+            coeffs = {m | right_leaves: c for m, c in left.items()}
+        else:
+            coeffs = _disjoint_product(left, right, field)
+        # most gates of a decomposition carry the identity pair (1, 0)
         if alpha != 1:
             coeffs = canon({m: c * alpha for m, c in coeffs.items()}) if alpha else {}
-            if not coeffs:
-                support = 0
         if beta:
-            c0 = field.add(coeffs.get(0, 0), beta)
-            if c0:
-                coeffs[0] = c0
-            else:
-                del coeffs[0]
-        values.append((coeffs, support))
+            _add_to_constant(coeffs, beta, field)
+        values.append((coeffs, left_leaves | right_leaves))
     return values[0][0]
+
+
+def _add_to_constant(coeffs: dict, c, field: FieldDescriptor) -> None:
+    """Add the nonzero raw constant c to a canonical map, in place."""
+    c0 = field.add(coeffs.get(0, 0), c)
+    if c0:
+        coeffs[0] = c0
+    else:
+        del coeffs[0]
 
 
 def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     """The multilinear polynomial the formula computes, expanded in one
     walk over raw coefficient maps.
 
-    ``n`` defaults to the highest variable index in the tree.
+    ``n`` defaults to the highest variable index in the tree.  A formula
+    that is not read-once is refused with ``validate``'s report.
     """
     field = field_of(rof)
     if n is None:
@@ -342,7 +334,8 @@ def sum_validate(s: RopSum) -> List[Violation]:
 
 def sum_evaluate(s: RopSum) -> MultilinearPoly:
     """The polynomial the sum computes: every summand is expanded in
-    ``s.field`` and added into one coefficient map."""
+    ``s.field`` and added into one coefficient map; a summand that is not
+    read-once is refused as in ``evaluate``."""
     total: dict = {}
     for rof in s.summands:
         for m, c in _expand(rof, s.n, s.field).items():
@@ -353,7 +346,8 @@ def sum_evaluate(s: RopSum) -> MultilinearPoly:
 
 def verify_against(s: RopSum, target: MultilinearPoly) -> bool:
     """Exact polynomial equality of the sum against a target, compared as
-    coefficient maps, so the two variable counts may differ."""
+    coefficient maps, so the two variable counts may differ.  A summand
+    that is not read-once is refused even when the sum equals the target."""
     if target.field != s.field:
         raise FieldMismatch("sum over %s, target over %s" % (s.field, target.field))
     return sum_evaluate(s).coeffs == target.coeffs

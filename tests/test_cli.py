@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ropsum import QQ, MultilinearPoly, prime_field
+from ropsum import QQ, MultilinearPoly, cli, prime_field
 from ropsum.cli import main, parse_poly_text
 from ropsum.errors import ParseError
 from ropsum.mpoly import elementary_symmetric, format_poly
@@ -201,6 +201,15 @@ def test_cmd_oracle_min_k_odd_prime_cache_round_trip(capsys):
     assert code == 0 and json.loads(out) == {"min_k": 2}
     code, out, _ = run(capsys, *query, "--kmax", "1")
     assert code == 0 and json.loads(out) == {"min_k": None}
+
+
+def test_cmd_oracle_refuses_kmax_outside_1_to_4_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_rops", lambda p, n: pytest.fail("enumerated"))
+    for kmax in ("0", "5", "9"):
+        for extra in ((), ("--min-k", "x1")):
+            query = ("oracle", "--field", "fp:2", "--n", "3", "--kmax", kmax, *extra)
+            code, out, err = run(capsys, *query)
+            assert code == 3 and out == "" and "kmax must be between 1 and 4" in err
 
 
 def test_cmd_oracle_takes_its_field_from_the_field_flag(capsys):

@@ -33,6 +33,11 @@ def test_add_cancels_to_zero():
     assert (p + p.scale(-1)).is_zero()
 
 
+def test_add_refuses_two_variable_counts():
+    with pytest.raises(IndexOutOfRange, match="^polynomials on 2 and 3 variables$"):
+        P(2, {0b11: 1}) + P(3, {0b11: 1})
+
+
 def test_char2_doubling():
     s = elementary_symmetric(4, 2, F2)
     assert (s + s).is_zero()
@@ -271,12 +276,18 @@ def test_format_round_trip_via_repr():
 def test_variable_count_cap():
     with pytest.raises(IndexOutOfRange):
         MultilinearPoly(31, QQ, {})
+    with pytest.raises(IndexOutOfRange, match=r"^monomial mask 4 outside \[0, 2\^2\)$"):
+        MultilinearPoly(2, QQ, {0b100: 1})
 
 
 def test_sparse_poly_refuses_a_count_outside_the_range():
     for n in (-1, 31, 32):
         with pytest.raises(IndexOutOfRange, match="variable count %d outside 0..30" % n):
             SparsePoly(n, QQ, {})
+    with pytest.raises(IndexOutOfRange, match="^exponent vector length 3 != 2$"):
+        SparsePoly(2, QQ, {(1, 0, 0): 1})
+    with pytest.raises(IndexOutOfRange, match="^individual exponent outside 0..4$"):
+        SparsePoly(2, QQ, {(5, 0): 1})
 
 
 def test_with_n_refuses_a_count_outside_the_range():

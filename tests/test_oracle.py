@@ -85,6 +85,9 @@ def test_min_k_checks_parameters():
         min_k(PackedPoly(2, 4, 0), cls, 2)
     with pytest.raises(PreconditionViolated):
         min_k(PackedPoly(2, 3, 0), cls, 5)
+    for value in (-1, 2 ** 8):
+        with pytest.raises(PreconditionViolated, match="packed value outside its digit range"):
+            PackedPoly(2, 3, value)
 
 
 def test_min_k_monotone_under_member_shifts():

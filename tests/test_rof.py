@@ -14,7 +14,6 @@ from ropsum import (
     ParseError,
     PreconditionViolated,
     RopsumError,
-    SharedVariables,
     TooFewVariables,
     TooManyVariables,
     family4,
@@ -93,19 +92,30 @@ def test_evaluate_half_pairing_closer():
 
 
 def test_evaluate_refuses_factors_that_share_a_variable():
+    # a formula that reads a variable twice is refused under either gate,
+    # whatever its leaves compute: a zero-scale leaf reads its variable too
     t = gate(MUL, gate(ADD, leaf(1), leaf(2)), gate(MUL, leaf(2), leaf(3)))
-    with pytest.raises(SharedVariables, match=r"\[2\]"):
+    with pytest.raises(PreconditionViolated, match="^invalid formula: x2 labels 2 leaves$"):
         evaluate(t)
-    # a zero-scale leaf is a constant and shares nothing; so is a sum
-    # whose variable terms cancel
-    assert evaluate(gate(MUL, leaf(1, 0, 2), leaf(1))) == MultilinearPoly(1, QQ, {0b1: 2})
     five = gate(ADD, leaf(1), leaf(1, -1, 5))
-    assert evaluate(gate(MUL, five, leaf(1, 3, 0))) == MultilinearPoly(1, QQ, {0b1: 15})
+    mul = parse_rof("(mul (1 0) (leaf (0 3) x1) (leaf (1 0) x1))", QQ)
+    add = parse_rof("(add (1 0) (leaf (1 0) x1) (leaf (1 0) x1))", QQ)
+    x1_twice = "^invalid formula: x1 labels 2 leaves$"
+    for t in (mul, five, gate(MUL, five, leaf(2, 3, 0)), add):
+        with pytest.raises(PreconditionViolated, match=x1_twice):
+            evaluate(t)
+    # the final check of a sum refuses the summand though the sum is 2*x1
+    s, two_x1 = RopSum(QQ, 1, (add,)), MultilinearPoly(1, QQ, {0b1: 2})
+    for call in (lambda: sum_evaluate(s), lambda: verify_against(s, two_x1)):
+        with pytest.raises(PreconditionViolated, match=x1_twice):
+            call()
 
 
 def test_evaluate_refuses_out_of_range_variables():
     with pytest.raises(IndexOutOfRange):
         evaluate(gate(ADD, leaf(1), leaf(3)), 2)
+    assert [v.kind for v in sum_validate(RopSum(QQ, 2, (leaf(1), leaf(3))))] == ["bad_index"]
+    assert validate(leaf(0)) == [("bad_index", "leaf variable x0")]
     with pytest.raises(IndexOutOfRange):
         evaluate(leaf(0))
     with pytest.raises(IndexOutOfRange):
@@ -170,13 +180,6 @@ def _reference(node, n):
     return x.scale(node.alpha) + MultilinearPoly.constant(n, x.field, node.beta)
 
 
-def _outcome(compute):
-    try:
-        return compute()
-    except (SharedVariables, IndexOutOfRange, FieldMismatch) as exc:
-        return type(exc), str(exc)
-
-
 def _negated(node):
     """The same node computing minus its polynomial."""
     if isinstance(node, Leaf):
@@ -194,8 +197,9 @@ def _monomial(variables, field):
 
 
 def _random_formula(rng, field, variables):
-    """A random formula on the variables, mostly read-once: some sums add a
-    node to its own negation, and some products read a variable twice."""
+    """A random formula on the variables, mostly read-once: some gates read
+    the variables of one side twice, through a sum of a node and its own
+    negation, or through a copy of the left side inside the right."""
     def pair():
         roll = rng.random()
         if roll < 0.4:
@@ -210,7 +214,7 @@ def _random_formula(rng, field, variables):
     right = _random_formula(rng, field, variables[cut:])
     roll = rng.random()
     if roll < 0.1:
-        # cancels all but the constants; its support is empty
+        # a constant, though it reads its variables twice
         left = Gate(ADD, *pair(), left, _negated(left))
     elif roll < 0.15:
         right = Gate(ADD, *pair(), right, left)
@@ -221,10 +225,17 @@ def _random_formula(rng, field, variables):
     return Gate(rng.choice((ADD, MUL)), *pair(), left, right)
 
 
+def _refusal(violations):
+    """The message of the refusal of a formula with these violations."""
+    return "invalid formula: " + "; ".join(v.detail for v in violations)
+
+
 @pytest.mark.parametrize("field", [QQ, F2, prime_field(3), prime_field(10007)], ids=str)
 def test_evaluate_matches_the_public_operations(field):
+    # evaluation raises exactly when validate reports a violation, with its
+    # report; otherwise it equals the public operations' result
     rng = random.Random(1307 + field.characteristic)
-    refused = 0
+    refused = kept = 0
     for _ in range(400):
         n = rng.randint(1, 8)
         summands = []
@@ -232,19 +243,28 @@ def test_evaluate_matches_the_public_operations(field):
             variables = random_variable_subset(rng, n, rng.randint(1, n))
             rng.shuffle(variables)
             summands.append(_random_formula(rng, field, variables))
-        for t in summands:
-            want = _outcome(lambda: _reference(t, n))
-            assert _outcome(lambda: evaluate(t, n)) == want
-            refused += isinstance(want, tuple)
-        def reference_sum():
+        violations = [validate(t) for t in summands]
+        for t, flagged in zip(summands, violations):
+            if flagged:
+                with pytest.raises(PreconditionViolated) as exc:
+                    evaluate(t, n)
+                assert str(exc.value) == _refusal(flagged)
+            else:
+                assert evaluate(t, n) == _reference(t, n)
+            refused += bool(flagged)
+            kept += not flagged
+        s = RopSum(field, n, tuple(summands))
+        first = next((v for v in violations if v), None)
+        if first:
+            with pytest.raises(PreconditionViolated) as exc:
+                sum_evaluate(s)
+            assert str(exc.value) == _refusal(first)
+        else:
             total = MultilinearPoly.zero(n, field)
             for t in summands:
                 total = total + _reference(t, n)
-            return total
-
-        s = RopSum(field, n, tuple(summands))
-        assert _outcome(lambda: sum_evaluate(s)) == _outcome(reference_sum)
-    assert 0 < refused < 400
+            assert sum_evaluate(s) == total
+    assert refused > 100 and kept > 400
 
 
 def test_structural_multiplicativity():
@@ -420,8 +440,9 @@ def test_deep_formula_walks():
     assert leaf_vars(t) == [1] + [k % 30 + 1 for k in range(depth)]
     assert [v.kind for v in validate(t)] == ["duplicate_variable"] * 30
     assert not is_multiplicative_structural(t)
-    p = evaluate(t)
-    assert p.n == 30 and p.coeff(0b1) == 68 and p.coeff(1 << 29) == 66
+    # the walk reaches the deepest gate, which joins two leaves of x1
+    with pytest.raises(PreconditionViolated, match="^invalid formula: x1 labels 68 leaves; "):
+        evaluate(t)
     with pytest.raises(ParseError):
         parse_rof(text[:-1], QQ)
     # a left-deep chain of 2,000 mul gates on distinct variables: the leaf
