@@ -11,10 +11,13 @@ variables freely, each tree alone may not.
 
 ``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
 which walks a tree once over raw coefficient maps (see
-:mod:`ropsum.mpoly`) and builds no polynomial object per node.  It
-refuses, with ``validate``'s report, any tree that ``validate`` flags, so
-each check that a sum computes its target also checks that every summand
-is read-once.
+:mod:`ropsum.mpoly`) and builds no polynomial object per node.  It is the
+one place that refuses a formula, with ``validate``'s report for any tree
+that ``validate`` flags, so each check that a sum computes its target also
+checks that every summand is read-once.  The witnesses below expand their
+formula before their own checks, so they refuse a bad formula as
+``evaluate`` does (``three_var_linearizing_restriction`` first refuses
+more than 3 variables, whose expansion could reach 2^n terms).
 """
 
 from __future__ import annotations
@@ -127,7 +130,9 @@ def validate(rof: Rof) -> List[Violation]:
     return violations
 
 
-def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
+def _expand(
+    rof: Rof, n: int, field: FieldDescriptor, summand: Optional[int] = None
+) -> dict:
     """The canonical raw coefficient map of the polynomial the formula
     computes over ``field``, on variables x_1..x_n.
 
@@ -135,7 +140,8 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
     of the variables its leaves read.  The sides of a gate must read
     disjoint variables, so a sum meets only in its constant term.  A gate
     whose sides share a variable, or whose op is neither add nor mul,
-    refuses the formula with ``validate``'s report; a scalar of another
+    refuses the formula with ``validate``'s report, each violation prefixed
+    ``summand <index>: `` when ``summand`` is given; a scalar of another
     field raises ``FieldMismatch`` and a leaf outside 1..n
     ``IndexOutOfRange``.
     """
@@ -159,7 +165,11 @@ def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
         right, right_leaves = values.pop()
         left, left_leaves = values.pop()
         if left_leaves & right_leaves or node.op not in (ADD, MUL):
-            refuse_invalid(validate(rof))
+            where = "" if summand is None else "summand %d: " % summand
+            raise PreconditionViolated(
+                "invalid formula: "
+                + "; ".join(where + v.detail for v in validate(rof))
+            )
         if node.op == ADD:
             # disjoint sides meet only in the constant term
             coeffs = {**left, **right}
@@ -222,15 +232,6 @@ def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
     return len(_edges(p.coeffs)) == k * (k - 1) // 2
 
 
-def refuse_invalid(violations: List[Violation]) -> None:
-    """Refuse a formula that ``validate`` or ``sum_validate`` flags, such as
-    one that reads a variable twice."""
-    if violations:
-        raise PreconditionViolated(
-            "invalid formula: %s" % "; ".join(v.detail for v in violations)
-        )
-
-
 def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     """For a multiplicative formula and a variable x_i, a pair (j, gamma)
     with d/dx_j of the computed polynomial vanishing under x_i = gamma.
@@ -238,7 +239,7 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     j is the smallest variable in the sibling subtree of x_i's leaf and
     gamma = -beta/alpha from that leaf's labels; the identity is exact.
     """
-    refuse_invalid(validate(rof))
+    p = evaluate(rof)
     if not is_multiplicative_structural(rof):
         raise NotMultiplicative("formula contains an addition gate")
     all_vars = leaf_vars(rof)
@@ -262,7 +263,7 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     gamma = -leaf.beta / leaf.alpha
     j = min(leaf_vars(sibling))
     # the defining identity is checked exactly, not sampled
-    if not evaluate(rof).partial(j).restrict(i, gamma).is_zero():
+    if not p.partial(j).restrict(i, gamma).is_zero():
         raise RopsumError("internal: witness identity failed")
     return j, gamma
 
@@ -275,12 +276,15 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
     any value for a variable of the bivariate side works (we pick 0); under
     a multiplication gate the univariate factor is zeroed at -beta/alpha.
     """
-    refuse_invalid(validate(rof))
     vars_present = leaf_vars(rof)
+    # refused before the expansion, which can reach 2^k terms on k
+    # variables where a formula on 3 has at most 8
+    k = len(set(vars_present))
+    if k > 3:
+        raise TooManyVariables("need exactly 3 variables, got %d" % k)
+    p = evaluate(rof)
     if len(vars_present) < 3:
         raise TooFewVariables("need exactly 3 variables, got %d" % len(vars_present))
-    if len(vars_present) > 3:
-        raise TooManyVariables("need exactly 3 variables, got %d" % len(vars_present))
     assert isinstance(rof, Gate)
     field = field_of(rof)
     left_vars = leaf_vars(rof.left)
@@ -295,7 +299,7 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
             i, a = min(leaf_vars(pair_side)), field.zero()
         else:
             i, a = solo.var, -solo.beta / solo.alpha
-    if evaluate(rof).restrict(i, a).degree() > 1:
+    if p.restrict(i, a).degree() > 1:
         raise RopsumError("internal: restriction left a degree above 1")
     return i, a
 
@@ -315,30 +319,13 @@ class RopSum:
         return len(self.summands)
 
 
-def sum_validate(s: RopSum) -> List[Violation]:
-    violations: List[Violation] = []
-    for idx, rof in enumerate(s.summands):
-        for v in validate(rof):
-            violations.append(Violation(v.kind, "summand %d: %s" % (idx, v.detail)))
-        if field_of(rof) != s.field:
-            violations.append(
-                Violation("field_mismatch", "summand %d not over %s" % (idx, s.field))
-            )
-        high = max(leaf_vars(rof), default=0)
-        if high > s.n:
-            violations.append(
-                Violation("bad_index", "summand %d uses x%d > n=%d" % (idx, high, s.n))
-            )
-    return violations
-
-
 def sum_evaluate(s: RopSum) -> MultilinearPoly:
     """The polynomial the sum computes: every summand is expanded in
     ``s.field`` and added into one coefficient map; a summand that is not
-    read-once is refused as in ``evaluate``."""
+    read-once is refused as in ``evaluate``, naming its index from 0."""
     total: dict = {}
-    for rof in s.summands:
-        for m, c in _expand(rof, s.n, s.field).items():
+    for idx, rof in enumerate(s.summands):
+        for m, c in _expand(rof, s.n, s.field, idx).items():
             t = total.get(m)
             total[m] = c if t is None else t + c
     return MultilinearPoly._trusted(s.n, s.field, s.field.canon(total))

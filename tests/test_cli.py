@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,14 @@ def test_cmd_oracle_closure(capsys):
     assert code == 0 and payload["ok"] is True
 
 
+def test_cmd_oracle_refuses_min_k_with_closure_report(capsys, monkeypatch):
+    # one query per call, refused before the class is built
+    monkeypatch.setattr(cli, "enumerate_rops", lambda p, n: pytest.fail("enumerated"))
+    query = ("oracle", "--field", "fp:2", "--n", "3", "--min-k", "x1*x2", "--closure-report")
+    code, out, err = run(capsys, *query)
+    assert code == 2 and out == "" and "not allowed with argument" in err
+
+
 def test_cmd_field_flag(capsys):
     code, out, _ = run(capsys, "parse", "--field", "fp:7", "8*x1 + 13")
     assert code == 0 and out == "6 + x1"
@@ -236,6 +248,25 @@ def test_cmd_field_flag(capsys):
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "parse", "x1 ++ x2")
     assert code == 2 and "parse error" in err
+
+
+def test_module_entry_point_exit_codes():
+    # the module runs as a program and exits with main's status
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")))
+    )
+    for argv, code, stream in (
+        (("parse", "x1"), 0, "x1"),
+        (("parse", "x1 ++ x2"), 2, "parse error"),
+        (("diff", "--var", "9", "x1"), 3, "precondition violated"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "ropsum.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == code
+        assert stream in (done.stdout if code == 0 else done.stderr)
 
 
 def test_exit_code_precondition(capsys):

@@ -9,6 +9,7 @@ from ropsum import (
     QQ,
     CharacteristicTwo,
     MultilinearPoly,
+    PreconditionViolated,
     elementary_symmetric,
     m_poly,
     prime_field,
@@ -129,6 +130,15 @@ def test_generic_over_prime_fields():
 
 def test_generic_zero_gives_empty_sum():
     assert len(generic(MultilinearPoly.zero(4, QQ)).summands) == 0
+
+
+def test_pairing_and_generic_refuse_an_empty_variable_range():
+    # a constant on n = 0 variables has no leaf to sit on
+    one = MultilinearPoly(0, QQ, {0: 1})
+    with pytest.raises(PreconditionViolated, match="^monomial pairing needs .* n >= 1$"):
+        pair_monomials(one)
+    with pytest.raises(PreconditionViolated, match="^decomposition needs .* n >= 1$"):
+        generic(one)
 
 
 # -- symmetric halves -----------------------------------------------------------

@@ -152,6 +152,16 @@ def test_closure_of_empty_class_is_vacuous():
     assert rep.ok and rep.members_checked == 0
 
 
+def test_closure_report_lists_every_violation_of_an_unclosed_class():
+    # {x1*x2} over F_2 holds neither partial (x2, x1) nor any restriction
+    # (0 at x_i = 0, the other variable at x_i = 1); x1*x2 packs to 2^3
+    x1x2 = pack(MultilinearPoly(2, F2, {0b11: 1})).value
+    rep = closure_report(RopClass(2, 2, (x1x2,)))
+    assert not rep.ok and rep.members_checked == 1
+    assert rep.derivative_violations == [(8, 1), (8, 2)]
+    assert rep.restriction_violations == [(8, 1, 0), (8, 1, 1), (8, 2, 0), (8, 2, 1)]
+
+
 # -- sumset queries against a full-scan reference ------------------------------
 
 

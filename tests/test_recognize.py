@@ -192,6 +192,11 @@ def test_factor_rejects_constant():
         disjoint_factorization(P(2, {0: 3}))
 
 
+def test_is_rop_refuses_an_empty_variable_range():
+    with pytest.raises(PreconditionViolated, match="^recognition needs .* n >= 1$"):
+        is_rop(MultilinearPoly(0, QQ, {0: 1}))
+
+
 # -- read-once recognition ---------------------------------------------------
 
 

@@ -33,7 +33,6 @@ from ropsum.rof import (
     parse_rof,
     print_rof,
     sum_evaluate,
-    sum_validate,
     three_var_linearizing_restriction,
     validate,
     verify_against,
@@ -104,17 +103,21 @@ def test_evaluate_refuses_factors_that_share_a_variable():
     for t in (mul, five, gate(MUL, five, leaf(2, 3, 0)), add):
         with pytest.raises(PreconditionViolated, match=x1_twice):
             evaluate(t)
-    # the final check of a sum refuses the summand though the sum is 2*x1
+    # the final check of a sum refuses the summand though the sum is 2*x1,
+    # and names it
     s, two_x1 = RopSum(QQ, 1, (add,)), MultilinearPoly(1, QQ, {0b1: 2})
     for call in (lambda: sum_evaluate(s), lambda: verify_against(s, two_x1)):
-        with pytest.raises(PreconditionViolated, match=x1_twice):
+        with pytest.raises(
+            PreconditionViolated, match="^invalid formula: summand 0: x1 labels 2 leaves$"
+        ):
             call()
 
 
 def test_evaluate_refuses_out_of_range_variables():
     with pytest.raises(IndexOutOfRange):
         evaluate(gate(ADD, leaf(1), leaf(3)), 2)
-    assert [v.kind for v in sum_validate(RopSum(QQ, 2, (leaf(1), leaf(3))))] == ["bad_index"]
+    with pytest.raises(IndexOutOfRange, match="^leaf variable x3 outside 1..2$"):
+        sum_evaluate(RopSum(QQ, 2, (leaf(1), leaf(3))))
     assert validate(leaf(0)) == [("bad_index", "leaf variable x0")]
     with pytest.raises(IndexOutOfRange):
         evaluate(leaf(0))
@@ -141,7 +144,6 @@ def test_evaluate_refuses_a_scalar_of_another_field():
 def test_verify_against_refuses_a_summand_of_another_field():
     F5, F7 = prime_field(5), prime_field(7)
     s = RopSum(F5, 1, (Leaf(1, F7.elem(6), F7.zero()),))
-    assert [v.kind for v in sum_validate(s)] == ["field_mismatch"]
     with pytest.raises(FieldMismatch):
         verify_against(s, MultilinearPoly.variable(1, F5, 1))
     with pytest.raises(FieldMismatch):
@@ -160,11 +162,43 @@ def test_evaluation_refuses_a_gate_that_is_neither_add_nor_mul():
     assert [v.detail for v in validate(xor)] == ["unknown op 'xor'"]
     x1x2 = MultilinearPoly(2, QQ, {0b11: 1})
     for t in (xor, gate(ADD, leaf(3), xor)):
+        with pytest.raises(PreconditionViolated, match="^invalid formula: unknown op 'xor'$"):
+            evaluate(t)
         s = RopSum(QQ, 3, (t,))
-        for call in (lambda: evaluate(t), lambda: sum_evaluate(s),
-                     lambda: verify_against(s, x1x2.with_n(3))):
-            with pytest.raises(PreconditionViolated, match="^invalid formula: unknown op 'xor'$"):
+        for call in (lambda: sum_evaluate(s), lambda: verify_against(s, x1x2.with_n(3))):
+            with pytest.raises(
+                PreconditionViolated, match="^invalid formula: summand 0: unknown op 'xor'$"
+            ):
                 call()
+
+
+def test_every_operation_refuses_a_bad_formula_alike():
+    # the expansion kernel makes every refusal of a formula: evaluation,
+    # both witnesses and a sum raise the same exception in the same words,
+    # and a sum also names the summand it refuses
+    F7 = prime_field(7)
+    bad = [
+        (FieldMismatch, "element of F_7 used in Q",
+         gate(MUL, leaf(1), gate(MUL, leaf(2), Leaf(3, F7.one(), F7.zero())))),
+        (IndexOutOfRange, "leaf variable x0 outside 1..2",
+         gate(MUL, leaf(0), gate(MUL, leaf(1), leaf(2)))),
+        (PreconditionViolated, "invalid formula: x1 labels 2 leaves",
+         gate(MUL, leaf(1), gate(MUL, leaf(2), leaf(1)))),
+        (PreconditionViolated, "invalid formula: unknown op 'xor'",
+         gate("xor", leaf(1), gate(MUL, leaf(2), leaf(3)))),
+    ]
+    for kind, words, t in bad:
+        s = RopSum(QQ, max(leaf_vars(t)), (leaf(1), t))
+        in_sum = words.replace("invalid formula: ", "invalid formula: summand 1: ")
+        for call, expected in (
+            (lambda: evaluate(t), words),
+            (lambda: mrops_witness(t, 1), words),
+            (lambda: three_var_linearizing_restriction(t), words),
+            (lambda: sum_evaluate(s), in_sum),
+        ):
+            with pytest.raises(kind) as exc:
+                call()
+            assert type(exc.value) is kind and str(exc.value) == expected
 
 
 # -- evaluation against the public operations --------------------------------
@@ -225,9 +259,10 @@ def _random_formula(rng, field, variables):
     return Gate(rng.choice((ADD, MUL)), *pair(), left, right)
 
 
-def _refusal(violations):
-    """The message of the refusal of a formula with these violations."""
-    return "invalid formula: " + "; ".join(v.detail for v in violations)
+def _refusal(violations, where=""):
+    """The message of the refusal of a formula with these violations, each
+    prefixed with ``where``."""
+    return "invalid formula: " + "; ".join(where + v.detail for v in violations)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, prime_field(3), prime_field(10007)], ids=str)
@@ -254,11 +289,11 @@ def test_evaluate_matches_the_public_operations(field):
             refused += bool(flagged)
             kept += not flagged
         s = RopSum(field, n, tuple(summands))
-        first = next((v for v in violations if v), None)
+        first = next(((i, v) for i, v in enumerate(violations) if v), None)
         if first:
             with pytest.raises(PreconditionViolated) as exc:
                 sum_evaluate(s)
-            assert str(exc.value) == _refusal(first)
+            assert str(exc.value) == _refusal(first[1], "summand %d: " % first[0])
         else:
             total = MultilinearPoly.zero(n, field)
             for t in summands:
@@ -362,6 +397,18 @@ def test_three_var_restriction_arity():
         three_var_linearizing_restriction(four)
 
 
+def test_three_var_restriction_refuses_many_variables_before_expanding(monkeypatch):
+    # a product of 30 affine leaves would expand to 2^30 terms
+    import ropsum.rof as rof_module
+
+    monkeypatch.setattr(rof_module, "evaluate", lambda rof, n=None: pytest.fail("expanded"))
+    t = leaf(1, 1, 1)
+    for v in range(2, 31):
+        t = gate(MUL, t, leaf(v, 1, 1))
+    with pytest.raises(TooManyVariables, match="^need exactly 3 variables, got 30$"):
+        three_var_linearizing_restriction(t)
+
+
 def test_three_var_restriction_random():
     rng = random.Random(33)
     for _ in range(300):
@@ -381,7 +428,6 @@ def test_sum_matches_family_example():
         MUL, gate(ADD, leaf(1), leaf(2)), gate(ADD, leaf(3), leaf(4)), a=2
     )
     s = RopSum(QQ, 4, (first, second))
-    assert sum_validate(s) == []
     assert verify_against(s, family4(1, 2, 3))
 
 

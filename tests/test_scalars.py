@@ -56,6 +56,19 @@ def test_field_mismatch():
         prime_field(5).elem(1) * F7.elem(1)
 
 
+def test_arithmetic_with_the_scalar_on_the_left():
+    for field in (QQ, F7):
+        x = field.elem(3)
+        assert 2 - x == field.elem(-1)
+        assert 1 / x == x.inverse() and (1 / x) * x == 1
+        with pytest.raises(DivisionByZero):
+            1 / field.zero()
+        # an operand that is no scalar is refused by both sides
+        for call in (lambda: x + "a", lambda: "a" - x, lambda: x * [1], lambda: x / None):
+            with pytest.raises(TypeError):
+                call()
+
+
 def test_prime_validation():
     with pytest.raises(PreconditionViolated):
         prime_field(6)
