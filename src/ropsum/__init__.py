@@ -9,23 +9,13 @@ small scale.
 """
 
 from .errors import (
-    CharacteristicTwo,
-    DegenerateLeaf,
     DivisionByZero,
-    EqualIndices,
     FieldMismatch,
     IndexOutOfRange,
-    InfeasibleParameters,
-    NotMultiplicative,
-    ParameterMismatch,
     ParseError,
     PreconditionError,
     PreconditionViolated,
     RopsumError,
-    SharedVariables,
-    TooFewVariables,
-    TooManyVariables,
-    WrongArity,
 )
 from .scalars import (
     QQ,
@@ -64,18 +54,8 @@ __all__ = [
     "RopsumError",
     "ParseError",
     "PreconditionError",
-    "CharacteristicTwo",
-    "DegenerateLeaf",
     "DivisionByZero",
-    "EqualIndices",
     "FieldMismatch",
     "IndexOutOfRange",
-    "InfeasibleParameters",
-    "NotMultiplicative",
-    "ParameterMismatch",
     "PreconditionViolated",
-    "SharedVariables",
-    "TooFewVariables",
-    "TooManyVariables",
-    "WrongArity",
 ]

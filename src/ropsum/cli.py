@@ -221,13 +221,17 @@ def _cmd_refute2(args, field) -> int:
 
 
 def _cmd_oracle(args, field) -> int:
-    _check_kmax(args.kmax)  # with or without --min-k, before any enumeration
+    if args.kmax is not None:  # before any enumeration
+        _check_kmax(args.kmax)
+        if args.min_k is None:
+            raise ParseError("--kmax needs --min-k")
     target = None
     if args.min_k is not None:  # a bad target is refused before any enumeration
         target = parse_poly_text(_read_arg(args.min_k), field)
     cls = enumerate_rops(field.p, args.n)
     if target is not None:  # fitted to the class before packing p^(2^n) digits
-        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, args.kmax)})
+        kmax = 3 if args.kmax is None else args.kmax
+        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, kmax)})
     if args.closure_report:
         rep = closure_report(cls)
         return _emit(
@@ -300,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query = p.add_mutually_exclusive_group()
     query.add_argument("--min-k", dest="min_k", default=None, help="target polynomial")
     query.add_argument("--closure-report", action="store_true")
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--kmax", type=int, help="with --min-k; default 3")
 
     p = add("verify", _cmd_verify, help="check a sum of formulas against a target")
     p.add_argument("--target", required=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CharacteristicTwo, PreconditionViolated, RopsumError
+from .errors import PreconditionViolated, RopsumError
 from .mpoly import MultilinearPoly, _bits, _by_degree, _infer_field, m_poly
 from .rof import ADD, MUL, Gate, Leaf, Rof, RopSum, verify_against
 from .scalars import FieldDescriptor, FieldElem
@@ -293,7 +293,7 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     """
     field = _infer_field(field, a0, a1, a2, a3, a4)
     if field.characteristic == 2:
-        raise CharacteristicTwo("the case table divides by 2-regular coefficients")
+        raise PreconditionViolated("the case table divides by 2-regular coefficients")
     c = [field.elem(v) for v in (a0, a1, a2, a3, a4)]
     target = _by_degree(4, field, dict(enumerate(c)))
     c0, c1, c2, c3, c4 = c

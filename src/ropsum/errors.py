@@ -31,49 +31,9 @@ class DivisionByZero(PreconditionError, ZeroDivisionError):
     """Division or inversion of a zero field element."""
 
 
-class SharedVariables(PreconditionError):
-    """Variable-disjoint multiplication applied to overlapping supports."""
-
-
 class IndexOutOfRange(PreconditionError):
     """Variable index outside 1..n."""
 
 
-class EqualIndices(PreconditionError):
-    """An operation on a variable pair received i == j."""
-
-
-class NotMultiplicative(PreconditionError):
-    """Formula contains an addition gate where none is allowed."""
-
-
-class TooFewVariables(PreconditionError):
-    """Formula has fewer variables than the operation requires."""
-
-
-class TooManyVariables(PreconditionError):
-    """Formula has more variables than the operation requires."""
-
-
-class DegenerateLeaf(PreconditionError):
-    """A leaf (or gate) carries a zero scale where a nonzero one is required."""
-
-
-class WrongArity(PreconditionError):
-    """Polynomial does not have the required number of variables."""
-
-
 class PreconditionViolated(PreconditionError):
-    """Generic named precondition failure."""
-
-
-class CharacteristicTwo(PreconditionError):
-    """Operation requires a field of characteristic != 2."""
-
-
-class InfeasibleParameters(PreconditionError):
-    """Requested exhaustive enumeration is outside the feasible range."""
-
-
-class ParameterMismatch(PreconditionError):
-    """Oracle query parameters do not match the enumerated class."""
+    """Any other broken precondition; the message names it."""

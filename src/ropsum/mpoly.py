@@ -25,12 +25,7 @@ from itertools import combinations
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import (
-    EqualIndices,
-    FieldMismatch,
-    IndexOutOfRange,
-    SharedVariables,
-)
+from .errors import FieldMismatch, IndexOutOfRange, PreconditionViolated
 from .scalars import QQ, FieldDescriptor, FieldElem
 
 MAX_VARIABLES = 30
@@ -201,7 +196,7 @@ class MultilinearPoly(_Poly):
         shared = self.var_mask() & other.var_mask()
         if shared:
             bits = [b.bit_length() for b in _bits(shared)]
-            raise SharedVariables("factors share variables %s" % bits)
+            raise PreconditionViolated("factors share variables %s" % bits)
         out = _disjoint_product(self.coeffs, other.coeffs, self.field)
         return MultilinearPoly._trusted(self.n, self.field, out)
 
@@ -408,7 +403,7 @@ def commutator(p: MultilinearPoly, i: int, j: int) -> SparsePoly:
     pass over p's coefficients.  The result is generally not multilinear.
     """
     if i == j:
-        raise EqualIndices("commutator needs two distinct variables")
+        raise PreconditionViolated("commutator needs two distinct variables")
     _check_index(i, p.n)
     _check_index(j, p.n)
     comm, _ = _commutator_raw(p.coeffs, 1 << (i - 1), 1 << (j - 1), p.field)

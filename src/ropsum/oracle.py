@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .errors import InfeasibleParameters, ParameterMismatch, PreconditionViolated
+from .errors import PreconditionViolated
 from .mpoly import MultilinearPoly
 from .scalars import prime_field
 
@@ -41,8 +41,9 @@ def _check_feasible(p: int, n: int):
     query, and p^(2^n), with 2^n digits, is too large to build."""
     limit = _FEASIBLE.get(p)
     if limit is None or n > limit or n < 1:
-        raise InfeasibleParameters(
-            "supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3"
+        raise PreconditionViolated(
+            "supported: "
+            + ", ".join("p=%d with n<=%d" % pn for pn in _FEASIBLE.items())
         )
 
 
@@ -69,7 +70,7 @@ class PackedPoly:
 def pack(poly: MultilinearPoly) -> PackedPoly:
     """Pack a prime-field polynomial into its integer encoding."""
     if poly.field.kind != "prime":
-        raise ParameterMismatch("packing needs a prime-field polynomial")
+        raise PreconditionViolated("packing needs a prime-field polynomial")
     p = poly.field.p
     _check_feasible(p, poly.n)
     value = 0
@@ -206,7 +207,7 @@ def enumerate_rops(p: int, n: int) -> RopClass:
 
 def _check_target(target: PackedPoly, cls: RopClass):
     if target.p != cls.p or target.n != cls.n:
-        raise ParameterMismatch(
+        raise PreconditionViolated(
             "target is (p=%d, n=%d), class is (p=%d, n=%d)"
             % (target.p, target.n, cls.p, cls.n)
         )

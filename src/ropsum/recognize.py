@@ -36,12 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .decompose import _bivariate_rof, _mono_chain, _verified
-from .errors import (
-    CharacteristicTwo,
-    PreconditionViolated,
-    RopsumError,
-    WrongArity,
-)
+from .errors import PreconditionViolated, RopsumError
 from .mpoly import (
     MultilinearPoly,
     _bits,
@@ -278,7 +273,7 @@ def check_c1prime(
     linear equation in b for a = 0, then a = 1.
     """
     if g.n != 4:
-        raise WrongArity("restriction-linearity check needs exactly 4 variables")
+        raise PreconditionViolated("restriction-linearity check needs exactly 4 variables")
     field = g.field
     zero = field.zero()
     full = 0b1111
@@ -382,7 +377,7 @@ def family_delta_roots(
     """
     field = alpha.field
     if field.characteristic == 2:
-        raise CharacteristicTwo("root formula divides by 2")
+        raise PreconditionViolated("root formula divides by 2")
     if beta.is_zero() or gamma.is_zero():
         raise PreconditionViolated("coefficient product beta*gamma must be nonzero")
     mid = alpha * alpha - beta * beta - gamma * gamma
@@ -422,7 +417,7 @@ def family4_decide(
     """
     field = _infer_field(field, alpha, beta, gamma)
     if field.characteristic == 2:
-        raise CharacteristicTwo("the construction divides by 2*beta*gamma")
+        raise PreconditionViolated("the construction divides by 2*beta*gamma")
     a = field.elem(alpha)
     b = field.elem(beta)
     c = field.elem(gamma)
@@ -507,7 +502,7 @@ def sum2_refute(g: MultilinearPoly) -> Sum2Decision:
     function never claims non-expressibility outside the family.
     """
     if g.n != 4:
-        raise WrongArity("the decision operates on 4-variable polynomials")
+        raise PreconditionViolated("the decision operates on 4-variable polynomials")
     a, b, c = g.coeff(0b0011), g.coeff(0b0101), g.coeff(0b1001)
     if g == family4(a, b, c, g.field):
         return family4_decide(a, b, c, g.field)

@@ -26,15 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
-    DegenerateLeaf,
     FieldMismatch,
     IndexOutOfRange,
-    NotMultiplicative,
     ParseError,
     PreconditionViolated,
     RopsumError,
-    TooFewVariables,
-    TooManyVariables,
 )
 from .mpoly import (
     MultilinearPoly,
@@ -140,22 +136,27 @@ def _expand(
     of the variables its leaves read.  The sides of a gate must read
     disjoint variables, so a sum meets only in its constant term.  A gate
     whose sides share a variable, or whose op is neither add nor mul,
-    refuses the formula with ``validate``'s report, each violation prefixed
-    ``summand <index>: `` when ``summand`` is given; a scalar of another
+    refuses the formula with ``validate``'s report; a scalar of another
     field raises ``FieldMismatch`` and a leaf outside 1..n
-    ``IndexOutOfRange``.
+    ``IndexOutOfRange``.  When ``summand`` is given, every refusal names it:
+    ``summand <index>: `` comes before each violation and before the other
+    two messages.
     """
     _check_var_count(n)
-
     canon = field.canon
     values: List[Tuple[dict, int]] = []
     for node in _post_order(rof):
         a, b = node.alpha, node.beta
-        alpha = a.value if a.field is field else field.raw(a)
-        beta = b.value if b.field is field else field.raw(b)
+        try:
+            alpha = a.value if a.field is field else field.raw(a)
+            beta = b.value if b.field is field else field.raw(b)
+        except FieldMismatch as exc:
+            raise FieldMismatch(_where(summand) + str(exc)) from None
         if isinstance(node, Leaf):
             if not (1 <= node.var <= n):
-                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
+                raise IndexOutOfRange(
+                    _where(summand) + "leaf variable x%d outside 1..%d" % (node.var, n)
+                )
             leaves = 1 << (node.var - 1)
             coeffs = {leaves: alpha} if alpha else {}
             if beta:
@@ -165,10 +166,9 @@ def _expand(
         right, right_leaves = values.pop()
         left, left_leaves = values.pop()
         if left_leaves & right_leaves or node.op not in (ADD, MUL):
-            where = "" if summand is None else "summand %d: " % summand
             raise PreconditionViolated(
                 "invalid formula: "
-                + "; ".join(where + v.detail for v in validate(rof))
+                + "; ".join(_where(summand) + v.detail for v in validate(rof))
             )
         if node.op == ADD:
             # disjoint sides meet only in the constant term
@@ -190,6 +190,11 @@ def _expand(
             _add_to_constant(coeffs, beta, field)
         values.append((coeffs, left_leaves | right_leaves))
     return values[0][0]
+
+
+def _where(summand: Optional[int]) -> str:
+    """The prefix naming a refused summand; worded only on refusal."""
+    return "" if summand is None else "summand %d: " % summand
 
 
 def _add_to_constant(coeffs: dict, c, field: FieldDescriptor) -> None:
@@ -241,15 +246,15 @@ def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:
     """
     p = evaluate(rof)
     if not is_multiplicative_structural(rof):
-        raise NotMultiplicative("formula contains an addition gate")
+        raise PreconditionViolated("formula contains an addition gate")
     all_vars = leaf_vars(rof)
     if len(all_vars) < 2:
-        raise TooFewVariables("need at least 2 variables")
+        raise PreconditionViolated("need at least 2 variables")
     if i not in all_vars:
         raise IndexOutOfRange("x%d does not occur in the formula" % i)
 
     if any(node.alpha.is_zero() for node in _post_order(rof)):
-        raise DegenerateLeaf("zero scale collapses a subtree to a constant")
+        raise PreconditionViolated("zero scale collapses a subtree to a constant")
 
     # the formula is read-once, so x_i labels exactly one leaf, and with
     # >= 2 variables that leaf has a parent
@@ -281,10 +286,10 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
     # variables where a formula on 3 has at most 8
     k = len(set(vars_present))
     if k > 3:
-        raise TooManyVariables("need exactly 3 variables, got %d" % k)
+        raise PreconditionViolated("need exactly 3 variables, got %d" % k)
     p = evaluate(rof)
     if len(vars_present) < 3:
-        raise TooFewVariables("need exactly 3 variables, got %d" % len(vars_present))
+        raise PreconditionViolated("need exactly 3 variables, got %d" % len(vars_present))
     assert isinstance(rof, Gate)
     field = field_of(rof)
     left_vars = leaf_vars(rof.left)

@@ -102,6 +102,12 @@ def test_cmd_commutator(capsys):
     assert code == 0 and out == "-4*x3*x3 - 7*x3*x4 - 4*x4*x4"
 
 
+def test_cmd_commutator_refuses_equal_variables(capsys):
+    code, out, err = run(capsys, "commutator", "--vars", "2,2", "x1*x2")
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: commutator needs two distinct variables"
+
+
 def test_cmd_is_rop(capsys):
     code, out, _ = run(capsys, "is-rop", "x1*x2 + x2*x3 + x1*x3")
     assert code == 0 and json.loads(out) == {"is_rop": False, "witness": None}
@@ -214,6 +220,23 @@ def test_cmd_oracle_refuses_kmax_outside_1_to_4_before_enumerating(capsys, monke
             query = ("oracle", "--field", "fp:2", "--n", "3", "--kmax", kmax, *extra)
             code, out, err = run(capsys, *query)
             assert code == 3 and out == "" and "kmax must be between 1 and 4" in err
+
+
+def test_cmd_oracle_refuses_kmax_without_min_k_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_rops", lambda p, n: pytest.fail("enumerated"))
+    for extra in ((), ("--closure-report",)):
+        query = ("oracle", "--field", "fp:2", "--n", "2", "--kmax", "2", *extra)
+        code, out, err = run(capsys, *query)
+        assert code == 2 and out == "" and err == "parse error: --kmax needs --min-k"
+
+
+def test_cmd_oracle_min_k_searches_to_3_by_default(capsys):
+    target = "x2 + x1*x2 + x1*x3 + x2*x3 + x4 + x1*x4 + x1*x2*x4 + x2*x3*x4 + x1*x2*x3*x4"
+    query = ("oracle", "--field", "fp:2", "--n", "4", "--min-k", target)
+    code, out, _ = run(capsys, *query)
+    assert code == 0 and json.loads(out) == {"min_k": 3}
+    code, out, _ = run(capsys, *query, "--kmax", "2")
+    assert code == 0 and json.loads(out) == {"min_k": None}
 
 
 def test_cmd_oracle_takes_its_field_from_the_field_flag(capsys):

@@ -9,7 +9,7 @@ from ropsum import (
     FieldMismatch,
     IndexOutOfRange,
     MultilinearPoly,
-    SharedVariables,
+    PreconditionViolated,
     commutator,
     elementary_symmetric,
     family4,
@@ -56,7 +56,7 @@ def test_mul_disjoint():
 
 def test_mul_disjoint_rejects_shared():
     p = P(1, {0b1: 1})
-    with pytest.raises(SharedVariables):
+    with pytest.raises(PreconditionViolated, match=r"^factors share variables \[1\]$"):
         p.mul_disjoint(p)
 
 
@@ -111,6 +111,12 @@ def test_commutator_of_family():
             },
         )
         assert got == expected
+
+
+def test_commutator_refuses_equal_indices():
+    p = P(2, {0b11: 1})
+    with pytest.raises(PreconditionViolated, match="^commutator needs two distinct variables$"):
+        commutator(p, 2, 2)
 
 
 def test_commutator_of_separated_product_vanishes():

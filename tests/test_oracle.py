@@ -7,9 +7,7 @@ import time
 import pytest
 
 from ropsum import (
-    InfeasibleParameters,
     MultilinearPoly,
-    ParameterMismatch,
     PreconditionViolated,
     elementary_symmetric,
     prime_field,
@@ -63,7 +61,7 @@ def test_pack_unpack_round_trip():
 def test_pack_needs_prime_field():
     from ropsum import QQ
 
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(PreconditionViolated, match="^packing needs a prime-field polynomial$"):
         pack(MultilinearPoly(2, QQ, {0b01: 1}))
 
 
@@ -81,7 +79,9 @@ def test_min_k_triangle_is_two():
 
 def test_min_k_checks_parameters():
     cls = enumerate_rops(2, 3)
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(
+        PreconditionViolated, match=r"^target is \(p=2, n=4\), class is \(p=2, n=3\)$"
+    ):
         min_k(PackedPoly(2, 4, 0), cls, 2)
     with pytest.raises(PreconditionViolated):
         min_k(PackedPoly(2, 3, 0), cls, 5)
@@ -101,15 +101,18 @@ def test_min_k_monotone_under_member_shifts():
         assert k is not None and k <= 2
 
 
+INFEASIBLE = "^supported: p=2 with n<=5, p=3 with n<=4, p=5 with n<=3$"
+
+
 def test_enumeration_feasibility_table():
     for p, n in [(2, 6), (3, 5), (5, 4), (7, 1), (4, 1)]:
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(PreconditionViolated, match=INFEASIBLE):
             enumerate_rops(p, n)
     # pack and PackedPoly refuse before p^(2^n): one F_3 monomial took seconds at n=22
     start = time.perf_counter()
-    with pytest.raises(InfeasibleParameters):
+    with pytest.raises(PreconditionViolated, match=INFEASIBLE):
         pack(MultilinearPoly(22, prime_field(3), {(1 << 22) - 1: 1}))
-    with pytest.raises(InfeasibleParameters):
+    with pytest.raises(PreconditionViolated, match=INFEASIBLE):
         PackedPoly(3, 30, 0)
     assert time.perf_counter() - start < 0.5
 

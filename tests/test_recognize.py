@@ -10,10 +10,8 @@ import pytest
 
 from ropsum import (
     QQ,
-    CharacteristicTwo,
     MultilinearPoly,
     PreconditionViolated,
-    WrongArity,
     elementary_symmetric,
     family4,
     prime_field,
@@ -369,7 +367,10 @@ def test_c1prime_exhaustive_agreement_small_field():
                                 brute = (i, j, a, b)
             assert (got is not None) == (brute is not None)
     # arity is enforced
-    with pytest.raises(WrongArity):
+    with pytest.raises(
+        PreconditionViolated,
+        match="^restriction-linearity check needs exactly 4 variables$",
+    ):
         check_c1prime(P(3, {0b111: 1}))
 
 
@@ -429,7 +430,7 @@ def test_delta_roots_satisfy_equation():
 def test_delta_roots_preconditions():
     with pytest.raises(PreconditionViolated):
         family_delta_roots(QQ.elem(1), QQ.zero(), QQ.elem(1))
-    with pytest.raises(CharacteristicTwo):
+    with pytest.raises(PreconditionViolated, match="^root formula divides by 2$"):
         family_delta_roots(F2.elem(1), F2.elem(1), F2.elem(1))
 
 
@@ -470,7 +471,9 @@ def test_family_decision_small_prime_field():
 
 
 def test_family_decision_rejects_char2():
-    with pytest.raises(CharacteristicTwo):
+    with pytest.raises(
+        PreconditionViolated, match=r"^the construction divides by 2\*beta\*gamma$"
+    ):
         family4_decide(1, 1, 1, F2)
 
 
@@ -525,7 +528,9 @@ def test_refute2_full_monomial_inconclusive():
 
 
 def test_refute2_requires_four_variables():
-    with pytest.raises(WrongArity):
+    with pytest.raises(
+        PreconditionViolated, match="^the decision operates on 4-variable polynomials$"
+    ):
         sum2_refute(P(3, {0b111: 1}))
 
 
