@@ -96,12 +96,14 @@ def _parse_field(spec: str) -> FieldDescriptor:
 
 
 def _read_arg(text: str) -> str:
-    if os.path.exists(text) and os.path.isfile(text):
+    if os.path.isfile(text):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError("file %r is not UTF-8 text: %s" % (text, exc)) from None
+        except OSError as exc:
+            raise ParseError("file %r cannot be read: %s" % (text, exc)) from None
     return text
 
 
@@ -180,6 +182,12 @@ def _cmd_decompose(args, field) -> int:
             raise ParseError("strategy %r needs a polynomial argument" % spec)
         poly = parse_poly_text(_read_arg(args.poly), field)
         result = pair_monomials(poly) if spec == "pairing" else generic(poly)
+    elif not spec.startswith(("symmetric:", "sympoly4:")):
+        raise ParseError(
+            "strategy must be pairing | generic | symmetric:<n,a,b> | sympoly4:<a0..a4>"
+        )
+    elif args.poly is not None:  # before it is read
+        raise ParseError("strategy %r takes no polynomial argument" % spec)
     elif spec.startswith("symmetric:"):
         parts = spec[len("symmetric:") :].split(",")
         if len(parts) != 3:
@@ -191,13 +199,9 @@ def _cmd_decompose(args, field) -> int:
         alpha = parse_scalar(parts[1], field)
         beta = parse_scalar(parts[2], field)
         result = symmetric_halves(n, alpha, beta, field)
-    elif spec.startswith("sympoly4:"):
+    else:
         coeffs = _scalars_csv(spec[len("sympoly4:") :], field, 5)
         result = sympoly4(*coeffs, field=field)
-    else:
-        raise ParseError(
-            "strategy must be pairing | generic | symmetric:<n,a,b> | sympoly4:<a0..a4>"
-        )
     # every strategy re-verifies internally before returning
     return _emit(
         {

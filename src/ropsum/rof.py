@@ -12,18 +12,19 @@ variables freely, each tree alone may not.
 ``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
 which walks a tree once over raw coefficient maps (see
 :mod:`ropsum.mpoly`) and builds no polynomial object per node.  It is the
-one place that refuses a formula, with ``validate``'s report for any tree
+one place that refuses a formula, with ``validate``'s words for any tree
 that ``validate`` flags, so each check that a sum computes its target also
-checks that every summand is read-once.  The witnesses below expand their
-formula before their own checks, so they refuse a bad formula as
-``evaluate`` does (``three_var_linearizing_restriction`` first refuses
-more than 3 variables, whose expansion could reach 2^n terms).
+checks that every summand is read-once; ``sum_evaluate`` names the summand
+it refuses.  The witnesses below expand their formula before their own
+checks, so they refuse a bad formula as ``evaluate`` does
+(``three_var_linearizing_restriction`` first refuses more than 3
+variables, whose expansion could reach 2^n terms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     FieldMismatch,
@@ -63,11 +64,6 @@ class Gate:
 Rof = Union[Leaf, Gate]
 
 
-class Violation(NamedTuple):
-    kind: str
-    detail: str
-
-
 def _post_order(rof: Rof) -> List[Rof]:
     """Every node after both its children, left subtree first; the leaves
     come out left to right.
@@ -92,71 +88,49 @@ def leaf_vars(rof: Rof) -> List[int]:
     return [node.var for node in _post_order(rof) if isinstance(node, Leaf)]
 
 
-def field_of(rof: Rof) -> FieldDescriptor:
-    return rof.alpha.field
-
-
-def validate(rof: Rof) -> List[Violation]:
-    """All read-once / consistency violations; an empty list means valid."""
-    violations: List[Violation] = []
-    field = field_of(rof)
+def validate(rof: Rof) -> List[str]:
+    """The words of every read-once / consistency violation, such as
+    ``x1 labels 2 leaves``; an empty list means valid."""
+    violations: List[str] = []
+    field = rof.alpha.field
     seen: Dict[int, int] = {}
     for node in _post_order(rof):
         for scalar in (node.alpha, node.beta):
             if scalar.field != field:
-                violations.append(
-                    Violation(
-                        "field_mismatch",
-                        "scalar in %s, tree is over %s" % (scalar.field, field),
-                    )
-                )
+                violations.append("scalar in %s, tree is over %s" % (scalar.field, field))
         if isinstance(node, Leaf):
             if node.var < 1:
-                violations.append(
-                    Violation("bad_index", "leaf variable x%d" % node.var)
-                )
+                violations.append("leaf variable x%d" % node.var)
             seen[node.var] = seen.get(node.var, 0) + 1
         elif node.op not in (ADD, MUL):
-            violations.append(Violation("bad_gate", "unknown op %r" % node.op))
+            violations.append("unknown op %r" % node.op)
     for v, count in sorted(seen.items()):
         if count > 1:
-            violations.append(
-                Violation("duplicate_variable", "x%d labels %d leaves" % (v, count))
-            )
+            violations.append("x%d labels %d leaves" % (v, count))
     return violations
 
 
-def _expand(
-    rof: Rof, n: int, field: FieldDescriptor, summand: Optional[int] = None
-) -> dict:
+def _expand(rof: Rof, n: int, field: FieldDescriptor) -> dict:
     """The canonical raw coefficient map of the polynomial the formula
-    computes over ``field``, on variables x_1..x_n.
+    computes over ``field``, on variables x_1..x_n; the caller checks n.
 
     One walk keeps a (map, leaves) pair per node, ``leaves`` being the mask
     of the variables its leaves read.  The sides of a gate must read
     disjoint variables, so a sum meets only in its constant term.  A gate
     whose sides share a variable, or whose op is neither add nor mul,
-    refuses the formula with ``validate``'s report; a scalar of another
+    refuses the formula with ``validate``'s words; a scalar of another
     field raises ``FieldMismatch`` and a leaf outside 1..n
-    ``IndexOutOfRange``.  When ``summand`` is given, every refusal names it:
-    ``summand <index>: `` comes before each violation and before the other
-    two messages.
+    ``IndexOutOfRange``.
     """
-    _check_var_count(n)
     canon = field.canon
     values: List[Tuple[dict, int]] = []
     for node in _post_order(rof):
         a, b = node.alpha, node.beta
-        try:
-            alpha = a.value if a.field is field else field.raw(a)
-            beta = b.value if b.field is field else field.raw(b)
-        except FieldMismatch as exc:
-            raise FieldMismatch(_where(summand) + str(exc)) from None
+        alpha = a.value if a.field is field else field.raw(a)
+        beta = b.value if b.field is field else field.raw(b)
         if isinstance(node, Leaf):
             if not (1 <= node.var <= n):
-                raise IndexOutOfRange(
-                    _where(summand) + "leaf variable x%d outside 1..%d" % (node.var, n)
-                )
+                raise IndexOutOfRange("leaf variable x%d outside 1..%d" % (node.var, n))
             leaves = 1 << (node.var - 1)
             coeffs = {leaves: alpha} if alpha else {}
             if beta:
@@ -166,10 +140,7 @@ def _expand(
         right, right_leaves = values.pop()
         left, left_leaves = values.pop()
         if left_leaves & right_leaves or node.op not in (ADD, MUL):
-            raise PreconditionViolated(
-                "invalid formula: "
-                + "; ".join(_where(summand) + v.detail for v in validate(rof))
-            )
+            raise PreconditionViolated("invalid formula: " + "; ".join(validate(rof)))
         if node.op == ADD:
             # disjoint sides meet only in the constant term
             coeffs = {**left, **right}
@@ -192,11 +163,6 @@ def _expand(
     return values[0][0]
 
 
-def _where(summand: Optional[int]) -> str:
-    """The prefix naming a refused summand; worded only on refusal."""
-    return "" if summand is None else "summand %d: " % summand
-
-
 def _add_to_constant(coeffs: dict, c, field: FieldDescriptor) -> None:
     """Add the nonzero raw constant c to a canonical map, in place."""
     c0 = field.add(coeffs.get(0, 0), c)
@@ -211,11 +177,12 @@ def evaluate(rof: Rof, n: Optional[int] = None) -> MultilinearPoly:
     walk over raw coefficient maps.
 
     ``n`` defaults to the highest variable index in the tree.  A formula
-    that is not read-once is refused with ``validate``'s report.
+    that is not read-once is refused with ``validate``'s words.
     """
-    field = field_of(rof)
+    field = rof.alpha.field
     if n is None:
         n = max(leaf_vars(rof))
+    _check_var_count(n)
     return MultilinearPoly._trusted(n, field, _expand(rof, n, field))
 
 
@@ -291,7 +258,7 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
     if len(vars_present) < 3:
         raise PreconditionViolated("need exactly 3 variables, got %d" % len(vars_present))
     assert isinstance(rof, Gate)
-    field = field_of(rof)
+    field = rof.alpha.field
     left_vars = leaf_vars(rof.left)
     solo, pair_side = (
         (rof.left, rof.right) if len(left_vars) == 1 else (rof.right, rof.left)
@@ -327,10 +294,22 @@ class RopSum:
 def sum_evaluate(s: RopSum) -> MultilinearPoly:
     """The polynomial the sum computes: every summand is expanded in
     ``s.field`` and added into one coefficient map; a summand that is not
-    read-once is refused as in ``evaluate``, naming its index from 0."""
+    read-once is refused as in ``evaluate``.  Each refusal of a summand
+    names its index from 0: ``summand <index>: `` comes before each
+    violation and before the words of the other refusals."""
+    _check_var_count(s.n)
     total: dict = {}
     for idx, rof in enumerate(s.summands):
-        for m, c in _expand(rof, s.n, s.field, idx).items():
+        try:
+            coeffs = _expand(rof, s.n, s.field)
+        except PreconditionViolated:
+            raise PreconditionViolated(
+                "invalid formula: "
+                + "; ".join("summand %d: %s" % (idx, w) for w in validate(rof))
+            ) from None
+        except (FieldMismatch, IndexOutOfRange) as exc:
+            raise type(exc)("summand %d: %s" % (idx, exc)) from None
+        for m, c in coeffs.items():
             t = total.get(m)
             total[m] = c if t is None else t + c
     return MultilinearPoly._trusted(s.n, s.field, s.field.canon(total))

@@ -412,6 +412,19 @@ def test_exit_code_file_not_utf8(capsys, tmp_path):
     assert code == 2 and out == "" and "not UTF-8" in err
 
 
+def test_exit_code_file_unreadable(capsys, tmp_path, monkeypatch):
+    # refused by open itself, so the check also holds for a superuser
+    path = tmp_path / "poly.txt"
+    path.write_text("x1")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 2 and out == "" and repr(str(path)) in err and "Permission denied" in err
+
+
 def test_exit_code_verify_json_entry_not_a_string(capsys):
     code, _, err = run(capsys, "verify", "--target", "x1", "[1]")
     assert code == 2 and "parse error" in err
@@ -422,6 +435,17 @@ def test_exit_code_symmetric_strategy_bad_n(capsys):
     assert code == 2 and "parse error" in err
     code, out, err = run(capsys, "decompose", "--strategy", "symmetric:5,1")
     assert code == 2 and out == "" and "needs n,alpha,beta" in err
+    # a polynomial argument that only pairing and generic read is refused,
+    # not dropped, and those two still need one
+    for strategy, poly in (
+        ("symmetric:3,0,1", "x1*x2 + 5"),
+        ("sympoly4:1,2,3,4,5", "x1"),
+        ("pairing", None),
+        ("generic", None),
+    ):
+        argv = ["decompose", "--strategy", strategy] + ([poly] if poly else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and repr(strategy) in err
 
 
 def test_exit_code_field_modulus_not_an_integer(capsys):
