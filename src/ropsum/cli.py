@@ -234,8 +234,8 @@ def _cmd_oracle(args, field) -> int:
         target = parse_poly_text(_read_arg(args.min_k), field)
     cls = enumerate_rops(field.p, args.n)
     if target is not None:  # fitted to the class before packing p^(2^n) digits
-        kmax = 3 if args.kmax is None else args.kmax
-        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, kmax)})
+        bound = {} if args.kmax is None else {"kmax": args.kmax}
+        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, **bound)})
     if args.closure_report:
         rep = closure_report(cls)
         return _emit(

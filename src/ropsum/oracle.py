@@ -270,6 +270,10 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
     """The smallest k <= kmax with the target in the k-fold sumset of the
     class, or None.  kmax is capped at 4.
 
+    k counts from 1: the zero target is a member (a zero-scaled leaf), so
+    its answer is 1, while every ``decompose`` strategy writes zero as the
+    empty sum.
+
     k=1 is a lookup.  k=2 is a join on the top two variables (see
     ``_in_2s``): for a negative answer it examines a median of 320 of the
     2,680 hi-group keys and about 250 of the 68,968 members of F_2 n=5,

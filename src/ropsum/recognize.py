@@ -10,11 +10,10 @@ x_i and x_j.  The gate's constant shift beta is recovered from an edge
 whose commutator is beta * D (the identity (f - beta) * d_i d_j f =
 d_i f * d_j f), and the factors of f - beta are the blocks of the pairs
 whose commutator is nonzero, each read off as a slice of f's monomials.
-Each distinct beta is factored once per node, and both the additive
-components and the factorization's blocks come from one union-find
-partition, so a pair already joined is never tested.  Both cuts are
-exact; a negative answer still costs one commutator per edge of every
-node reached.
+The shift of a top product gate is unique, so the first edge that yields
+one decides the node: one factorization per node, and the edge scan stops
+there.  The additive components and the factorization's blocks come from
+one union-find partition, so a pair already joined is never tested.
 
 On top of that sit the certified decisions for sums of two read-once
 formulas on four variables: the restriction-linearity check (C1'), the
@@ -182,16 +181,18 @@ def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
     """A top multiplication gate for a polynomial with a connected
     interaction graph, or None if it has none.
 
-    Each edge {i, j} of the graph that passes the identity
-    (f - beta) * d_i d_j f = d_i f * d_j f yields a shift beta.  Writing
-    f = A + B x_i + C x_j + D x_i x_j, both sides expand so that the
-    identity reads A*D - B*C = beta * D: the commutator of the pair is a
-    constant multiple of D.  What follows depends on beta alone: f - beta
-    is factored into variable-disjoint blocks and each block is recognized.
-    So each distinct beta is factored once at this node; an edge repeating
-    a beta already tried is skipped, since it would fail the same way.
+    The first edge {i, j} that passes the identity
+    (f - beta) * d_i d_j f = d_i f * d_j f decides.  Writing
+    f = A + B x_i + C x_j + D x_i x_j, the identity reads
+    A*D - B*C = beta * D; then f - beta factors into k >= 2
+    variable-disjoint blocks, and f is read-once exactly when every block
+    is.  The shift is unique: if f = beta' + P*Q is read-once, some pair
+    x_a, x_b lies across both {Var P, Var Q} and a grouping of the blocks
+    (else one block holds all of Var f), so its commutator is
+    beta * D = beta' * D with D = d_a P * d_b Q != 0.  And a
+    variable-disjoint factor of a read-once polynomial is read-once:
+    restrict its cofactor to a 0/1 point where the cofactor is nonzero.
     """
-    tried = set()
     for bi, bj in sorted(edges):
         comm, d = _commutator_raw(coeffs, bi, bj, field)
         k0 = next(iter(d))  # d is nonzero on an edge
@@ -199,18 +200,14 @@ def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
         scaled = {k: field.mul(betahat, c) for k, c in d.items()} if betahat else {}
         if comm != scaled:
             continue
-        if betahat in tried:
-            continue
-        tried.add(betahat)
         shifted = dict(coeffs)
         c0 = field.sub(shifted.pop(0, 0), betahat)
         if c0:
             shifted[0] = c0
-        # two factors at least: the zero commutator makes f - beta = P*Q, x_i in P, x_j in Q
         factors = _factor_blocks(shifted, field)
-        tree = _gate_chain(factors, MUL, field.elem(betahat), field)
-        if tree is not None:
-            return tree
+        if len(factors) < 2:  # the identity makes f - beta = P*Q, x_i in P, x_j in Q
+            raise RopsumError("internal: a passing edge left f - beta unfactored")
+        return _gate_chain(factors, MUL, field.elem(betahat), field)
     return None
 
 

@@ -13,6 +13,7 @@ from ropsum import (
     prime_field,
 )
 from ropsum import oracle
+from ropsum.decompose import generic, pair_monomials, sympoly4, symmetric_halves
 from ropsum.oracle import (
     PackedPoly,
     RopClass,
@@ -22,6 +23,7 @@ from ropsum.oracle import (
     pack,
     unpack,
 )
+from ropsum.rof import verify_against
 
 F2 = prime_field(2)
 
@@ -88,6 +90,33 @@ def test_min_k_checks_parameters():
     for value in (-1, 2 ** 8):
         with pytest.raises(PreconditionViolated, match="packed value outside its digit range"):
             PackedPoly(2, 3, value)
+
+
+def test_min_k_searches_to_3_by_default(monkeypatch):
+    # with no 2-sum anywhere, k=3 asks one 2-sum question per member and a
+    # default search stops there
+    cls = enumerate_rops(2, 3)
+    t = pack(elementary_symmetric(3, 2, F2))
+    assert min_k(t, cls) == 2
+    asked = []
+    monkeypatch.setattr(oracle, "_in_2s", lambda value, cls: asked.append(value) or False)
+    assert min_k(t, cls) is None
+    assert len(asked) == 1 + len(cls)
+
+
+def test_zero_has_one_rule_min_k_counts_from_one(classes):
+    # min_k searches k >= 1, and zero is one zero-scaled leaf, so it answers
+    # 1; a strategy's decomposition of zero is the empty sum
+    F3 = prime_field(3)
+    zero = MultilinearPoly.zero(4, F3)
+    assert min_k(pack(zero), classes(3, 4)) == 1
+    for s in (
+        pair_monomials(zero),
+        generic(zero),
+        symmetric_halves(4, 0, 0, F3),
+        sympoly4(0, 0, 0, 0, 0, F3),
+    ):
+        assert s.summands == () and verify_against(s, zero)
 
 
 def test_min_k_monotone_under_member_shifts():

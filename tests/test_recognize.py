@@ -12,6 +12,7 @@ from ropsum import (
     QQ,
     MultilinearPoly,
     PreconditionViolated,
+    RopsumError,
     elementary_symmetric,
     family4,
     prime_field,
@@ -198,13 +199,17 @@ def test_is_rop_refuses_an_empty_variable_range():
 # -- read-once recognition ---------------------------------------------------
 
 
-def test_is_rop_work_on_certified_non_rop(monkeypatch):
+def _certified_non_rop():
     # a planted ROP on x1..x7 times S_3^2 on x8..x10: not read-once, since
     # fixing x1..x7 where the ROP is a nonzero constant leaves c * S_3^2
     n = 10
     rop = evaluate(random_rof(random.Random(5), list(range(1, 8)), QQ), n)
     s3 = P(n, {0b0110000000: 1, 0b1010000000: 1, 0b1100000000: 1})
-    p = rop.mul_disjoint(s3)
+    return rop.mul_disjoint(s3)
+
+
+def test_is_rop_work_on_certified_non_rop(monkeypatch):
+    p = _certified_non_rop()
 
     separable_tests = [0]
     calls = []  # (input map, separable tests, sizes of the returned blocks)
@@ -231,6 +236,68 @@ def test_is_rop_work_on_certified_non_rop(monkeypatch):
     for _, tests, sizes in calls:
         cross = sum(a * b for a, b in combinations(sizes, 2))
         assert tests <= (sum(sizes) - 1) + cross
+
+
+def test_is_rop_decides_a_node_at_its_first_passing_edge(monkeypatch):
+    # the shift of a top product gate is unique, so a multiplicative node
+    # factors f - beta once, at the first edge that passes the identity, and
+    # scans no edge after it
+    p = _certified_non_rop()
+    frames = []  # per _multiplicative_split call: [factorizations, edges scanned after one]
+    stack, factoring = [], [0]
+    real_split = recognize._multiplicative_split
+    real_factor_blocks = recognize._factor_blocks
+    real_commutator = recognize._commutator_raw
+
+    def split(coeffs, edges, field):
+        stack.append([0, 0])
+        frames.append(stack[-1])
+        try:
+            return real_split(coeffs, edges, field)
+        finally:
+            stack.pop()
+
+    def commutator(coeffs, bi, bj, field):
+        if not factoring[0] and stack[-1][0]:  # an edge test, not a block test
+            stack[-1][1] += 1
+        return real_commutator(coeffs, bi, bj, field)
+
+    def factor_blocks(coeffs, field):
+        stack[-1][0] += 1
+        factoring[0] += 1
+        try:
+            return real_factor_blocks(coeffs, field)
+        finally:
+            factoring[0] -= 1
+
+    monkeypatch.setattr(recognize, "_multiplicative_split", split)
+    monkeypatch.setattr(recognize, "_commutator_raw", commutator)
+    monkeypatch.setattr(recognize, "_factor_blocks", factor_blocks)
+    assert is_rop(p) is None
+    assert any(factorizations for factorizations, _ in frames)
+    assert all(factorizations <= 1 for factorizations, _ in frames)
+    assert [late for _, late in frames if late] == []
+
+
+def test_is_rop_refuses_an_unfactored_passing_edge(monkeypatch):
+    # a passing edge splits f - beta in two at least; one block back would
+    # otherwise recurse on f itself until RecursionError
+    monkeypatch.setattr(recognize, "_factor_blocks", lambda coeffs, field: [dict(coeffs)])
+    with pytest.raises(RopsumError, match="^internal: a passing edge left f - beta unfactored$"):
+        is_rop(P(2, {0b11: 1}))
+
+
+def test_is_rop_matches_every_f2_n4_member_and_sampled_non_members():
+    # the whole F_2 n=4 sweep (65,536 inputs) agrees too but takes seconds
+    from ropsum.oracle import PackedPoly, unpack
+
+    members = enumerate_rops(2, 4).members
+    member_set = set(members)
+    non_members = [v for v in range(1 << 16) if v not in member_set]
+    sample = random.Random(24).sample(non_members, 6000)
+    assert len(members) == 2680
+    assert [v for v in members if is_rop(unpack(PackedPoly(2, 4, v))) is None] == []
+    assert [v for v in sample if is_rop(unpack(PackedPoly(2, 4, v))) is not None] == []
 
 
 def test_is_rop_triangle_is_not():

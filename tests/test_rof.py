@@ -133,6 +133,12 @@ def test_evaluate_refuses_a_scalar_of_another_field():
         evaluate(gate(ADD, leaf(1), Leaf(2, F7.one(), F7.zero())))
     with pytest.raises(FieldMismatch):
         evaluate(Gate(MUL, QQ.one(), F7.zero(), leaf(1), leaf(2)))
+    # a foreign scale beside a shift of the tree's own field is refused too
+    t = gate(ADD, Leaf(1, F7.elem(3), QQ.one()), leaf(2))
+    with pytest.raises(FieldMismatch, match="^element of F_7 used in Q$"):
+        evaluate(t)
+    with pytest.raises(FieldMismatch, match="^summand 0: element of F_7 used in Q$"):
+        sum_evaluate(RopSum(QQ, 2, (t,)))
     # an equal descriptor built apart is the same field
     G7 = FieldDescriptor("prime", 7)
     t = Gate(ADD, F7.one(), F7.zero(), Leaf(1, F7.one(), F7.zero()),
