@@ -292,8 +292,6 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     constant is written in closed form as the first summand's output shift.
     """
     field = _infer_field(field, a0, a1, a2, a3, a4)
-    if field.characteristic == 2:
-        raise PreconditionViolated("the case table divides by 2-regular coefficients")
     c = [field.elem(v) for v in (a0, a1, a2, a3, a4)]
     target = _by_degree(4, field, dict(enumerate(c)))
     c0, c1, c2, c3, c4 = c

@@ -32,7 +32,7 @@ arithmetic, and takes the commutator from :mod:`ropsum.mpoly`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .decompose import _bivariate_rof, _mono_chain, _verified
 from .errors import PreconditionViolated, RopsumError
@@ -86,14 +86,6 @@ def _partition(bits: List[int], linked: Callable[[int, int], bool]) -> List[int]
     return [block[b] for b in bits if block[b] & -block[b] == b]
 
 
-def _separable(
-    coeffs: Dict[int, object], bi: int, bj: int, field: FieldDescriptor
-) -> bool:
-    """Whether x_i and x_j can end up in different variable-disjoint factors:
-    the commutator A*D - B*C of p = A + B x_i + C x_j + D x_i x_j is zero."""
-    return not _commutator_raw(coeffs, bi, bj, field)[0]
-
-
 def _factor_blocks(
     coeffs: Dict[int, object], field: FieldDescriptor
 ) -> List[Dict[int, object]]:
@@ -101,14 +93,17 @@ def _factor_blocks(
     by lowest variable; the returned factors multiply back to the input
     exactly, and a product that does not raises ``RopsumError``.
 
-    The blocks are the connected components of "not separable".  For a
+    The blocks are the connected components of the pairs x_i, x_j that
+    cannot end up in different factors: writing f = A + B x_i + C x_j +
+    D x_i x_j, those whose commutator A*D - B*C is nonzero.  For a
     monomial m0 of f with coefficient c0, the monomials of f that agree
     with m0 outside a block B_a, keyed by their part inside B_a, are that
     block's factor F_a times one nonzero constant; the k slices multiply to
     c0^(k-1) * f, so all but the last are divided by c0.
     """
     blocks = _partition(
-        _bits(_support(coeffs)), lambda bi, bj: not _separable(coeffs, bi, bj, field)
+        _bits(_support(coeffs)),
+        lambda bi, bj: bool(_commutator_raw(coeffs, bi, bj, field)[0]),
     )
     if len(blocks) == 1:
         return [dict(coeffs)]
@@ -228,33 +223,6 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
 
 
 # ---------------------------------------------------------------------------
-# interaction graph and factorization, public form
-# ---------------------------------------------------------------------------
-
-
-def interaction_graph(p: MultilinearPoly) -> Dict[int, Set[int]]:
-    """Graph on Var(p) with an edge {i, j} iff d_i d_j p != 0."""
-    graph: Dict[int, Set[int]] = {v: set() for v in p.variables()}
-    for bi, bj in _edges(p.coeffs):
-        i, j = bi.bit_length(), bj.bit_length()
-        graph[i].add(j)
-        graph[j].add(i)
-    return graph
-
-
-def disjoint_factorization(p: MultilinearPoly) -> List[MultilinearPoly]:
-    """The maximal variable-disjoint factorization of a nonconstant p.
-
-    The factors are pairwise variable-disjoint and multiply back to p
-    exactly; an unfactorable p comes back as the single factor [p].
-    """
-    if p.is_constant():
-        raise PreconditionViolated("factorization needs a nonconstant polynomial")
-    blocks = _factor_blocks(p.coeffs, p.field)
-    return [MultilinearPoly._trusted(p.n, p.field, b) for b in blocks]
-
-
-# ---------------------------------------------------------------------------
 # structural conditions for sums of two read-once formulas (4 variables)
 # ---------------------------------------------------------------------------
 
@@ -363,31 +331,6 @@ class Sum2Decision:
         return out
 
 
-def family_delta_roots(
-    alpha: FieldElem, beta: FieldElem, gamma: FieldElem
-) -> List[FieldElem]:
-    """Exact roots of -bc*t^2 + (a^2-b^2-c^2)*t - bc = 0 in the field.
-
-    This is the equation a linear factor x_3 - t*x_4 of the (1,2)
-    commutator of the family polynomial must satisfy; its discriminant is
-    the decision discriminant d_1.
-    """
-    field = alpha.field
-    if field.characteristic == 2:
-        raise PreconditionViolated("root formula divides by 2")
-    if beta.is_zero() or gamma.is_zero():
-        raise PreconditionViolated("coefficient product beta*gamma must be nonzero")
-    mid = alpha * alpha - beta * beta - gamma * gamma
-    tau = sqrt_in_field(_family_discriminant(alpha, beta, gamma))
-    if tau is None:
-        return []
-    denom = 2 * beta * gamma
-    first = (mid + tau) / denom
-    if tau.is_zero():
-        return [first]
-    return [first, (mid - tau) / denom]
-
-
 def _family_discriminant(a: FieldElem, b: FieldElem, c: FieldElem) -> FieldElem:
     """The decision discriminant d_1 = d_2 = d_3: d_1 =
     (a^2 - b^2 - c^2)^2 - (2bc)^2 and its two permutations all expand to
@@ -413,8 +356,6 @@ def family4_decide(
     Every witness is verified by exact re-evaluation before it is returned.
     """
     field = _infer_field(field, alpha, beta, gamma)
-    if field.characteristic == 2:
-        raise PreconditionViolated("the construction divides by 2*beta*gamma")
     a = field.elem(alpha)
     b = field.elem(beta)
     c = field.elem(gamma)
@@ -461,7 +402,8 @@ def family4_decide(
             "C2-false",
         )
 
-    # C3: no square root of the discriminant?
+    # C3: no square root of the discriminant?  Over F_2 every nonzero
+    # weight is 1, so C1 or C2 has answered and 2*b*c is never divided by.
     d = _family_discriminant(a, b, c)
     tau = sqrt_in_field(d)
     if tau is not None:

@@ -37,7 +37,6 @@ from .mpoly import (
     MultilinearPoly,
     _check_var_count,
     _disjoint_product,
-    _edges,
 )
 from .scalars import FieldDescriptor, FieldElem, format_scalar, int_literal, parse_scalar
 
@@ -191,17 +190,6 @@ def is_multiplicative_structural(rof: Rof) -> bool:
     return not any(
         isinstance(node, Gate) and node.op == ADD for node in _post_order(rof)
     )
-
-
-def is_multiplicative_semantic(p: MultilinearPoly) -> bool:
-    """True iff every mixed partial over Var(p) is nonzero, that is, the
-    interaction graph on Var(p) is complete.
-
-    This characterizes multiplicative read-once polynomials among read-once
-    polynomials; the caller is responsible for p being one.
-    """
-    k = p.var_mask().bit_count()
-    return len(_edges(p.coeffs)) == k * (k - 1) // 2
 
 
 def mrops_witness(rof: Rof, i: int) -> Tuple[int, FieldElem]:

@@ -142,9 +142,9 @@ def test_cmd_decompose_pairing_and_verify(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"equal": True}
 
 
-@pytest.mark.parametrize("spec", ["q", "fp:5"])
+@pytest.mark.parametrize("spec", ["q", "fp:5", "fp:2"])
 def test_cmd_decompose_sympoly4_and_verify(capsys, spec):
-    field = QQ if spec == "q" else prime_field(5)
+    field = QQ if spec == "q" else prime_field(int(spec[3:]))
     # one coefficient row for each of the four cases of the table
     for coeffs in [(2, 3, 0, 0, 4), (0, 1, 0, 1, 0), (1, 1, 1, 1, 1), (1, 2, 3, 4, 1)]:
         target = MultilinearPoly.zero(4, field)
@@ -159,10 +159,6 @@ def test_cmd_decompose_sympoly4_and_verify(capsys, spec):
             json.dumps(payload["rofs"]),
         )
         assert code == 0 and json.loads(out) == {"equal": True}
-    code, out, err = run(
-        capsys, "decompose", "--field", "fp:2", "--strategy", "sympoly4:1,1,1,1,1"
-    )
-    assert code == 3 and out == "" and "precondition" in err
 
 
 def test_cmd_verify_json_list_and_mismatch(capsys, tmp_path):
@@ -295,8 +291,23 @@ def test_module_entry_point_exit_codes():
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "diff", "--var", "9", "x1")
     assert code == 3 and "precondition" in err
-    code, _, err = run(capsys, "check2rop", "--field", "fp:2", "--family", "1,1,1")
-    assert code == 3
+    code, _, err = run(capsys, "refute2", "x1*x5")
+    assert code == 3 and "precondition" in err
+
+
+def test_cmd_family_over_f2_answers_with_a_witness(capsys):
+    # (1, 1, 1) is the one F_2 family triple that needs two summands
+    family = "x1*x2 + x3*x4 + x1*x3 + x2*x4 + x1*x4 + x2*x3"
+    for argv in (("check2rop", "--family", "1,1,1"), ("refute2", family)):
+        code, out, _ = run(capsys, argv[0], "--field", "fp:2", *argv[1:])
+        payload = json.loads(out)
+        assert code == 0 and payload["outcome"] == "expressible"
+        assert payload["branch"] == "C2-false" and len(payload["witness"]) == 2
+        code, out, _ = run(
+            capsys, "verify", "--field", "fp:2", "--target", family,
+            json.dumps(payload["witness"]),
+        )
+        assert code == 0 and json.loads(out) == {"equal": True}
 
 
 def test_exit_code_bad_usage(capsys):

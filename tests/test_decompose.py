@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -245,11 +246,12 @@ def test_sympoly4_prime_field():
         assert_good(s, combo(F5, *coeffs), 2)
 
 
-def test_sympoly4_rejects_char2():
-    with pytest.raises(
-        PreconditionViolated, match="^the case table divides by 2-regular coefficients$"
-    ):
-        sympoly4(1, 1, 1, 1, 1, field=F2)
+def test_sympoly4_every_combination_over_f2():
+    # the case table divides only by a2, a3 and a2*a4 - a3^2, so F_2 needs
+    # no refusal
+    for coeffs in itertools.product(range(2), repeat=5):
+        s = sympoly4(*coeffs, field=F2)
+        assert_good(s, combo(F2, *coeffs), 2)
 
 
 def test_strategies_build_from_coefficients_and_expand_once(monkeypatch):

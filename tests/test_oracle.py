@@ -3,6 +3,7 @@ import random
 import statistics
 import struct
 import time
+from collections import Counter
 
 import pytest
 
@@ -366,6 +367,29 @@ def test_min_k_two_visits_half_the_hi_groups_at_most(classes, monkeypatch):
         if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
             work.append(len(calls))
     assert statistics.median(work) <= len(cls._by_hi) // 2
+
+
+@pytest.mark.parametrize("target", [1124292, 1155331980])
+def test_min_k_two_subtracts_each_member_from_the_target_once(
+    classes, monkeypatch, target
+):
+    # a member lies in one hi-group, and a hi-group a in one pair (a, t_hi - a),
+    # so a join that visits each pair once subtracts each member from t once
+    # at most.  Both targets are negatives: the first has t_top = 0, so its
+    # key pairs (a, b) and (b, a) meet in one key group; the second reaches
+    # pairs with a constant key b from the key group of t_top - c.
+    cls = classes(2, 5)
+    subtracted = Counter()
+    real_sub = oracle._packed_sub
+
+    def counting_sub(t, s, p):
+        if t == target:
+            subtracted[s] += 1
+        return real_sub(t, s, p)
+
+    monkeypatch.setattr(oracle, "_packed_sub", counting_sub)
+    assert min_k(PackedPoly(2, 5, target), cls, 2) is None
+    assert subtracted and max(subtracted.values()) == 1
 
 
 # member count and sha256 of struct.pack("<%dQ", *members), for every feasible

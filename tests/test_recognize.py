@@ -18,14 +18,12 @@ from ropsum import (
     prime_field,
 )
 from ropsum import recognize
+from ropsum.mpoly import _commutator_raw, _edges
 from ropsum.oracle import enumerate_rops, min_k, pack
 from ropsum.recognize import (
     check_c1prime,
     check_c2prime,
-    disjoint_factorization,
     family4_decide,
-    family_delta_roots,
-    interaction_graph,
     is_rop,
     sum2_refute,
 )
@@ -44,26 +42,37 @@ def P(n, terms, field=QQ):
 # -- interaction graph -------------------------------------------------------
 
 
+def _graph(p):
+    """mpoly._edges of p as variable index pairs, each checked to be an edge
+    d_i d_j p != 0 of the interaction graph."""
+    graph = {(bi.bit_length(), bj.bit_length()) for bi, bj in _edges(p.coeffs)}
+    assert all(not p.partial(i).partial(j).is_zero() for i, j in graph)
+    return graph
+
+
 def test_interaction_graph_linear_is_empty():
-    g = interaction_graph(P(3, {0b001: 1, 0b010: 1, 0b100: 1}))
-    assert g == {1: set(), 2: set(), 3: set()}
+    assert _graph(P(3, {0b001: 1, 0b010: 1, 0b100: 1})) == set()
 
 
 def test_interaction_graph_path():
-    g = interaction_graph(P(3, {0b011: 1, 0b110: 1}))
-    assert g == {1: {2}, 2: {1, 3}, 3: {2}}
+    assert _graph(P(3, {0b011: 1, 0b110: 1})) == {(1, 2), (2, 3)}
 
 
 def test_interaction_graph_complete_on_family():
-    g = interaction_graph(family4(1, 1, 1))
-    assert all(g[i] == {1, 2, 3, 4} - {i} for i in range(1, 5))
+    assert _graph(family4(1, 1, 1)) == set(combinations(range(1, 5), 2))
 
 
 # -- disjoint factorization --------------------------------------------------
 
 
+def _factors(p):
+    """recognize._factor_blocks of p, each block as a polynomial on p's range."""
+    blocks = recognize._factor_blocks(p.coeffs, p.field)
+    return [MultilinearPoly(p.n, p.field, b) for b in blocks]
+
+
 def test_factor_monomial():
-    fs = disjoint_factorization(P(2, {0b11: 1}))
+    fs = _factors(P(2, {0b11: 1}))
     assert [f.variables() for f in fs] == [[1], [2]]
     prod = fs[0].mul_disjoint(fs[1])
     assert prod == P(2, {0b11: 1})
@@ -71,14 +80,14 @@ def test_factor_monomial():
 
 def test_factor_with_constant_parts():
     p = P(3, {0b001: 1, 0b010: 1}).mul_disjoint(P(3, {0b100: 1, 0: 1}))
-    fs = disjoint_factorization(p)
+    fs = _factors(p)
     assert len(fs) == 2
     assert fs[0].mul_disjoint(fs[1]) == p
 
 
 def test_factor_irreducible():
     p = P(3, {0b011: 1, 0b101: 1, 0: 1})
-    assert disjoint_factorization(p) == [p]
+    assert _factors(p) == [p]
 
 
 def test_factor_random_products():
@@ -112,7 +121,7 @@ def test_factor_random_products():
                 },
             )
         p = left.mul_disjoint(right)
-        fs = disjoint_factorization(p)
+        fs = _factors(p)
         assert len(fs) >= 2
         prod = fs[0]
         for f in fs[1:]:
@@ -121,12 +130,13 @@ def test_factor_random_products():
 
 
 def _all_pairs_blocks(p):
-    """Reference blocks: the components of "not separable" over all variable
-    pairs, each as a bit mask, ordered by lowest variable."""
+    """Reference blocks: the components of the pairs with a nonzero
+    commutator, over all variable pairs, each as a bit mask, ordered by
+    lowest variable."""
     bits = [1 << (v - 1) for v in p.variables()]
     joined = {b: b for b in bits}
     for bi, bj in combinations(bits, 2):
-        if not recognize._separable(p.coeffs, bi, bj, p.field):
+        if _commutator_raw(p.coeffs, bi, bj, p.field)[0]:
             joined[bi] |= bj
             joined[bj] |= bi
     blocks, seen = [], 0
@@ -179,16 +189,11 @@ def test_factor_blocks_match_all_pairs_components(field):
             while any(not factor.partial(v).coeffs for v in group):
                 factor = _random_factor(rng, n, field, group)
             p = p.mul_disjoint(factor)
-        factors = disjoint_factorization(p)
+        factors = _factors(p)
         blocks = [sum(1 << (v - 1) for v in f.variables()) for f in factors]
         assert blocks == _all_pairs_blocks(p)
         if trial % 3 == 1:
             assert blocks == sorted(1 << (v - 1) for v in variables)
-
-
-def test_factor_rejects_constant():
-    with pytest.raises(PreconditionViolated):
-        disjoint_factorization(P(2, {0: 3}))
 
 
 def test_is_rop_refuses_an_empty_variable_range():
@@ -211,22 +216,22 @@ def _certified_non_rop():
 def test_is_rop_work_on_certified_non_rop(monkeypatch):
     p = _certified_non_rop()
 
-    separable_tests = [0]
-    calls = []  # (input map, separable tests, sizes of the returned blocks)
-    real_separable, real_factor_blocks = recognize._separable, recognize._factor_blocks
+    pair_tests = [0]
+    calls = []  # (input map, pair tests, sizes of the returned blocks)
+    real_commutator, real_factor_blocks = recognize._commutator_raw, recognize._factor_blocks
 
-    def separable(*args):
-        separable_tests[0] += 1
-        return real_separable(*args)
+    def commutator(*args):
+        pair_tests[0] += 1
+        return real_commutator(*args)
 
     def factor_blocks(coeffs, field):
-        before = separable_tests[0]
+        before = pair_tests[0]
         factors = real_factor_blocks(coeffs, field)
         sizes = [reduce(or_, f, 0).bit_count() for f in factors]
-        calls.append((frozenset(coeffs.items()), separable_tests[0] - before, sizes))
+        calls.append((frozenset(coeffs.items()), pair_tests[0] - before, sizes))
         return factors
 
-    monkeypatch.setattr(recognize, "_separable", separable)
+    monkeypatch.setattr(recognize, "_commutator_raw", commutator)
     monkeypatch.setattr(recognize, "_factor_blocks", factor_blocks)
     assert is_rop(p) is None
     assert calls
@@ -474,33 +479,6 @@ def test_c2prime_dependence_verifies():
 # -- the family decision -----------------------------------------------------
 
 
-def test_delta_roots_examples():
-    assert family_delta_roots(QQ.elem(1), QQ.elem(2), QQ.elem(3)) == [QQ.elem(-1)]
-    assert family_delta_roots(QQ.elem(2), QQ.elem(4), QQ.elem(5)) == []
-    assert family_delta_roots(QQ.elem(1), QQ.elem(1), QQ.elem(1)) == []
-
-
-def test_delta_roots_satisfy_equation():
-    rng = random.Random(18)
-    found = 0
-    for _ in range(300):
-        a = random_scalar(rng, QQ, nonzero=True)
-        b = random_scalar(rng, QQ, nonzero=True)
-        c = random_scalar(rng, QQ, nonzero=True)
-        for t in family_delta_roots(a, b, c):
-            found += 1
-            lhs = -(t * t) * b * c + t * (a * a - b * b - c * c) - b * c
-            assert lhs.is_zero()
-    assert found > 10
-
-
-def test_delta_roots_preconditions():
-    with pytest.raises(PreconditionViolated):
-        family_delta_roots(QQ.elem(1), QQ.zero(), QQ.elem(1))
-    with pytest.raises(PreconditionViolated, match="^root formula divides by 2$"):
-        family_delta_roots(F2.elem(1), F2.elem(1), F2.elem(1))
-
-
 def test_family_decision_not_expressible_paper_point():
     d = family4_decide(2, 4, 5)
     assert d.outcome == "not_expressible"
@@ -537,11 +515,20 @@ def test_family_decision_small_prime_field():
     assert verify_against(d.witness, family4(2, 4, 5, F7))
 
 
-def test_family_decision_rejects_char2():
-    with pytest.raises(
-        PreconditionViolated, match=r"^the construction divides by 2\*beta\*gamma$"
-    ):
-        family4_decide(1, 1, 1, F2)
+def test_family_decision_over_f2_agrees_with_the_oracle():
+    # every nonzero weight over F_2 is 1, so a zero weight (C1) or equal
+    # squares (C2) answers before the C3 construction divides by 2*b*c
+    cls = enumerate_rops(2, 4)
+    found = {}
+    for a, b, c in product(range(2), repeat=3):
+        target = family4(a, b, c, F2)
+        d = family4_decide(a, b, c, F2)
+        k = min_k(pack(target), cls, 2)
+        assert d.outcome == "expressible" and verify_against(d.witness, target)
+        assert len(d.witness.summands) >= (0 if target.is_zero() else k)
+        found[(a, b, c)] = (d.branch, k)
+    assert found.pop((1, 1, 1)) == ("C2-false", 2)
+    assert set(found.values()) == {("C1-false", 1)} and len(found) == 7
 
 
 def test_family_decision_permutation_invariance():

@@ -22,7 +22,6 @@ from ropsum.rof import (
     Leaf,
     RopSum,
     evaluate,
-    is_multiplicative_semantic,
     is_multiplicative_structural,
     leaf_vars,
     mrops_witness,
@@ -316,13 +315,6 @@ def test_structural_multiplicativity():
     assert is_multiplicative_structural(t)
 
 
-def test_semantic_multiplicativity():
-    assert is_multiplicative_semantic(MultilinearPoly(3, QQ, {0b111: 1}))
-    assert not is_multiplicative_semantic(
-        MultilinearPoly(2, QQ, {0b01: 1, 0b10: 1})
-    )
-
-
 def test_mrops_witness_example():
     t = gate(MUL, leaf(1, 2, 3), leaf(2))
     j, g = mrops_witness(t, 1)
@@ -524,9 +516,13 @@ def test_fact2_agreement_exhaustive_f2():
             mask = f2_evals_to_coeff_mask(packed, n)
             coeffs = {m: 1 for m in range(1 << n) if (mask >> m) & 1}
             p = MultilinearPoly(n, F2, coeffs)
-            assert set(p.variables()) <= {
-                i + 1 for i in range(n) if subset & (1 << i)
-            }
-            assert is_multiplicative_semantic(p) == (not has_plus)
+            var_list = p.variables()
+            assert set(var_list) <= {i + 1 for i in range(n) if subset & (1 << i)}
+            semantic = all(
+                not p.partial(i).partial(j).is_zero()
+                for ai, i in enumerate(var_list)
+                for j in var_list[ai + 1 :]
+            )
+            assert semantic == (not has_plus)
             if is_const:
                 assert p.is_constant()
