@@ -15,13 +15,16 @@ against its target before being handed back:
 * ``sympoly4`` -- any weighted combination of the 4-variable elementary
   symmetric polynomials in at most two summands, by a four-case table.
 
-Every strategy builds its formulas straight from coefficients; the one
-polynomial expansion is the final check.
+Every strategy builds its formulas straight from coefficients, computing
+on the field's raw values and wrapping a value as a ``FieldElem`` only
+where it becomes a formula label; the one polynomial expansion is the
+final check.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionViolated, RopsumError
@@ -42,26 +45,23 @@ def _mono_chain(variables: List[int], alpha: FieldElem, beta: FieldElem) -> Rof:
     return Gate(MUL, alpha, beta, Leaf(variables[0], one, zero), tree)
 
 
-def _bivariate_rof(
-    u: int, v: int, a: FieldElem, b: FieldElem, c: FieldElem, d: FieldElem
-) -> Optional[Rof]:
-    """A formula for a + b*x_u + c*x_v + d*x_u*x_v; None when all four are zero."""
-    field = a.field
-    one, zero = field.one(), field.zero()
-    if not d.is_zero():
-        # d*(x_u + c/d)(x_v + b/d) + (a - bc/d)
-        return Gate(
-            MUL, d, a - b * c / d, Leaf(u, one, c / d), Leaf(v, one, b / d)
-        )
-    if not b.is_zero() and not c.is_zero():
-        return Gate(ADD, one, a, Leaf(u, b, zero), Leaf(v, c, zero))
-    if not b.is_zero():
-        return Leaf(u, b, a)
-    if not c.is_zero():
-        return Leaf(v, c, a)
-    if not a.is_zero():
-        return Leaf(u, zero, a)
-    return None
+def _bivariate_rof(u: int, v: int, a, b, c, d, field: FieldDescriptor) -> Optional[Rof]:
+    """A formula for a + b*x_u + c*x_v + d*x_u*x_v, from raw values of
+    ``field`` to ``FieldElem`` labels; None when all four are zero."""
+    one, zero, label = field.one(), field.zero(), partial(FieldElem, field)
+    if d:
+        # d*(x_u + c/d)(x_v + b/d) + (a - bc/d), with one inverse of d
+        mul, e = field.mul, field.inv(d)
+        c_d, b_d = mul(c, e), mul(b, e)
+        shift = label(field.sub(a, mul(b, c_d)))
+        return Gate(MUL, label(d), shift, Leaf(u, one, label(c_d)), Leaf(v, one, label(b_d)))
+    if b and c:
+        return Gate(ADD, one, label(a), Leaf(u, label(b), zero), Leaf(v, label(c), zero))
+    if b:
+        return Leaf(u, label(b), label(a))
+    if c:
+        return Leaf(v, label(c), label(a))
+    return Leaf(u, zero, label(a)) if a else None
 
 
 def _times_monomial(variables: List[int], rof: Optional[Rof]) -> Optional[Rof]:
@@ -86,9 +86,9 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
     """Pair up monomials: at most ceil(M/2) summands for M monomials."""
     if p.n < 1:
         raise PreconditionViolated("monomial pairing needs a variable range of n >= 1")
-    field = p.field
-    one, zero = field.one(), field.zero()
-    monomials = sorted(p.coeffs)
+    field, coeffs = p.field, p.coeffs
+    one, zero, label = field.one(), field.zero(), partial(FieldElem, field)
+    monomials = sorted(coeffs)
     summands: List[Rof] = []
 
     def vars_of(mask: int) -> List[int]:
@@ -96,7 +96,7 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 
     for idx in range(0, len(monomials) - 1, 2):
         s, t = monomials[idx], monomials[idx + 1]
-        a, b = p.coeff(s), p.coeff(t)
+        a, b = label(coeffs[s]), label(coeffs[t])
         common = s & t
         s_only, t_only = s & ~t, t & ~s
         if s_only and t_only:
@@ -117,7 +117,7 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 
     if len(monomials) % 2:
         s = monomials[-1]
-        a = p.coeff(s)
+        a = label(coeffs[s])
         if s:
             summands.append(_mono_chain(vars_of(s), a, zero))
         else:
@@ -128,75 +128,87 @@ def pair_monomials(p: MultilinearPoly) -> RopSum:
 # ---------------------------------------------------------------------------
 
 
-def _linear_rof(const: FieldElem, terms: List[Tuple[int, FieldElem]]) -> Optional[Rof]:
-    """A formula for const + sum of c*x_v over the (v, c) pairs, in order;
-    None when everything is zero."""
-    field = const.field
-    one, zero = field.one(), field.zero()
-    terms = [(v, c) for v, c in terms if not c.is_zero()]
+def _linear_rof(const, terms: List[Tuple[int, object]], field: FieldDescriptor) -> Optional[Rof]:
+    """A formula for const + sum of c*x_v over the (v, c) pairs, in order,
+    from raw values of ``field``; None when everything is zero."""
+    one, zero, label = field.one(), field.zero(), partial(FieldElem, field)
+    terms = [(v, c) for v, c in terms if c]
     if not terms:
-        return None if const.is_zero() else Leaf(1, zero, const)
-    tree: Rof = Leaf(terms[0][0], terms[0][1], zero)
+        return Leaf(1, zero, label(const)) if const else None
+    tree: Rof = Leaf(terms[0][0], label(terms[0][1]), zero)
     for v, c in terms[1:]:
-        tree = Gate(ADD, one, zero, tree, Leaf(v, c, zero))
-    return replace(tree, beta=const)
+        tree = Gate(ADD, one, zero, tree, Leaf(v, label(c), zero))
+    return replace(tree, beta=label(const))
 
 
-_QUAD_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
-def _generic_base4(block: Dict[int, FieldElem], field: FieldDescriptor) -> List[Rof]:
-    """At most three summands for a polynomial on x1..x4, given by its
-    nonzero coefficients keyed by monomial mask."""
-    one, zero = field.one(), field.zero()
-    pivot = next(
-        ((i, j) for i, j in _QUAD_PAIRS if (1 << (i - 1) | 1 << (j - 1)) in block),
-        None,
-    )
-    # Position q of the construction stands for the variable x[q]; a pivot
-    # quadratic x_i x_j sits at positions (1, 3).
-    i, j = pivot or (1, 3)
+def _pivot_case(i: int, j: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """The mask of x_i x_j; the variables x[1..4] at positions 1..4 when
+    x_i x_j sits at positions (1, 3); and the position table, whose entry
+    pos is the mask of the variables at the positions set in pos."""
     k, l = sorted({1, 2, 3, 4} - {i, j})
-    x = {1: i, 2: k, 3: j, 4: l}
+    x = (i, k, j, l)
+    table = [0]
+    for v in x:  # each new half adds the next position's variable
+        table += [m | 1 << (v - 1) for m in table]
+    return 1 << (i - 1) | 1 << (j - 1), x, tuple(table)
 
-    def c(*positions: int) -> FieldElem:
-        return block.get(sum(1 << (x[q] - 1) for q in positions), zero)
 
-    if pivot is None:
+# The six quadratic pivots in the order one is chosen, then the case of no
+# quadratic term, whose table is the identity.
+_PIVOTS = tuple(_pivot_case(i, j) for i, j in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+_NO_PIVOT = _pivot_case(1, 3)
+
+
+def _generic_base4(block: Dict[int, object], field: FieldDescriptor) -> List[Rof]:
+    """At most three summands for a polynomial on x1..x4, given by the raw
+    values of its nonzero coefficients keyed by monomial mask; the labels
+    are ``FieldElem``s.  The block is read once, through its pivot's
+    position table: c13 is the coefficient of x[1] x[3], the pivot, c0 the
+    constant, and so on."""
+    z = field.zero().value
+    pivot = next((case for case in _PIVOTS if case[0] in block), _NO_PIVOT)
+    _, (x1, x2, x3, x4), table = pivot
+    (c0, c1, c2, c12, c3, c13, c23, c123, c4, c14, c24, c124, c34, c134, c234, c1234) = (
+        block.get(m, z) for m in table
+    )
+
+    if pivot is _NO_PIVOT:
         # No quadratic terms: the linear part, then x1x2 and x3x4 times
         # their cofactors among the cubic and quartic terms.
-        cof12 = _bivariate_rof(3, 4, zero, c(1, 2, 3), c(1, 2, 4), zero)
-        cof34 = _bivariate_rof(1, 2, zero, c(1, 3, 4), c(2, 3, 4), c(1, 2, 3, 4))
         parts = [
-            _linear_rof(c(), [(v, c(v)) for v in (1, 2, 3, 4)]),
-            _times_monomial([1, 2], cof12),
-            _times_monomial([3, 4], cof34),
+            _linear_rof(c0, [(1, c1), (2, c2), (3, c3), (4, c4)], field),
+            _times_monomial([1, 2], _bivariate_rof(3, 4, z, c123, c124, z, field)),
+            _times_monomial([3, 4], _bivariate_rof(1, 2, z, c134, c234, c1234, field)),
         ]
         return [s for s in parts if s is not None]
 
-    a13 = c(1, 3)
+    one, zero = field.one(), field.zero()
     # Everything supported inside positions {1,2} or {3,4}.
-    low = _bivariate_rof(x[1], x[2], c(), c(1), c(2), c(1, 2))
-    high = _bivariate_rof(x[3], x[4], zero, c(3), c(4), c(3, 4))
+    low = _bivariate_rof(x1, x2, c0, c1, c2, c12, field)
+    high = _bivariate_rof(x3, x4, z, c3, c4, c34, field)
     halves = low or high
     if low is not None and high is not None:
         halves = Gate(ADD, one, zero, low, high)
-    # The pivot product: (a13 x1 + a23 x2 + a123 x1x2)(x3 + (a14/a13) x4 + (a134/a13) x3x4).
-    left = _bivariate_rof(x[1], x[2], zero, a13, c(2, 3), c(1, 2, 3))
-    right = _bivariate_rof(x[3], x[4], zero, one, c(1, 4) / a13, c(1, 3, 4) / a13)
+    # The pivot product: (c13 x1 + c23 x2 + c123 x1x2)(x3 + (c14/c13) x4 + (c134/c13) x3x4),
+    # with one inverse of the pivot c13, which is nonzero.
+    mul, sub, e = field.mul, field.sub, field.inv(c13)
+    r14, r134 = mul(c14, e), mul(c134, e)
+    left = _bivariate_rof(x1, x2, z, c13, c23, c123, field)
+    right = _bivariate_rof(x3, x4, z, one.value, r14, r134, field)
     # The correction on x2 x4 times a bivariate in (x1, x3).
     corr = _bivariate_rof(
-        x[1],
-        x[3],
-        c(2, 4) - c(1, 4) * c(2, 3) / a13,
-        c(1, 2, 4) - c(1, 4) * c(1, 2, 3) / a13,
-        c(2, 3, 4) - c(1, 3, 4) * c(2, 3) / a13,
-        c(1, 2, 3, 4) - c(1, 3, 4) * c(1, 2, 3) / a13,
+        x1,
+        x3,
+        sub(c24, mul(r14, c23)),
+        sub(c124, mul(r14, c123)),
+        sub(c234, mul(r134, c23)),
+        sub(c1234, mul(r134, c123)),
+        field,
     )
     parts = [
         halves,
         Gate(MUL, one, zero, left, right),
-        _times_monomial([x[2], x[4]], corr),
+        _times_monomial([x2, x4], corr),
     ]
     return [s for s in parts if s is not None]
 
@@ -216,9 +228,9 @@ def generic(p: MultilinearPoly) -> RopSum:
     field = p.field
     one, zero = field.one(), field.zero()
     low = 4 if p.n >= 4 else 2
-    blocks: Dict[int, Dict[int, FieldElem]] = {}
+    blocks: Dict[int, Dict[int, object]] = {}
     for mask, c in p.coeffs.items():
-        blocks.setdefault(mask >> low, {})[mask % (1 << low)] = FieldElem(field, c)
+        blocks.setdefault(mask >> low, {})[mask % (1 << low)] = c
 
     summands: List[Rof] = []
     for high in sorted(blocks, reverse=True):
@@ -226,7 +238,7 @@ def generic(p: MultilinearPoly) -> RopSum:
         if low == 4:
             parts = _generic_base4(block, field)
         else:
-            parts = [_bivariate_rof(1, 2, *(block.get(m, zero) for m in range(4)))]
+            parts = [_bivariate_rof(1, 2, *(block.get(m, zero.value) for m in range(4)), field)]
         # the lowest high variable innermost, as the recursion wraps them
         for b in _bits(high << low):
             leaf = Leaf(b.bit_length(), one, zero)
@@ -274,7 +286,7 @@ def symmetric_halves(
     if n % 2:
         closer = None if a.is_zero() and b.is_zero() else Leaf(n, a, b)
     else:
-        closer = _bivariate_rof(n - 1, n, zero, b, b, a)
+        closer = _bivariate_rof(n - 1, n, zero.value, b.value, b.value, a.value, field)
     if n > 2:
         closer = _times_monomial(list(range(1, n - 1 + n % 2)), closer)
     if closer is not None:
@@ -296,10 +308,11 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     target = _by_degree(4, field, dict(enumerate(c)))
     c0, c1, c2, c3, c4 = c
     one, zero = field.one(), field.zero()
+    u, z = one.value, zero.value
 
     summands: List[Rof] = []
     if c2.is_zero() and c3.is_zero():
-        linear = _linear_rof(c0, [(v, c1) for v in (1, 2, 3, 4)])
+        linear = _linear_rof(c0.value, [(v, c1.value) for v in (1, 2, 3, 4)], field)
         if linear is not None:
             summands.append(linear)
         if not c4.is_zero():
@@ -307,10 +320,10 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
     elif c2.is_zero():
         # (a1 + a3 x1x2)(x3 + x4 + (a4/a3) x3x4) + (a1 + a3 x3x4)(x1 + x2 - a1a4/a3^2)
         # leaves the constant a0 + a1^2 a4/a3^2
-        f1 = _bivariate_rof(1, 2, c1, zero, zero, c3)
-        g1 = _bivariate_rof(3, 4, zero, one, one, c4 / c3)
-        f2 = _bivariate_rof(3, 4, c1, zero, zero, c3)
-        g2 = _bivariate_rof(1, 2, -(c1 * c4) / (c3 * c3), one, one, zero)
+        f1 = _bivariate_rof(1, 2, c1.value, z, z, c3.value, field)
+        g1 = _bivariate_rof(3, 4, z, u, u, (c4 / c3).value, field)
+        f2 = _bivariate_rof(3, 4, c1.value, z, z, c3.value, field)
+        g2 = _bivariate_rof(1, 2, (-(c1 * c4) / (c3 * c3)).value, u, u, z, field)
         const = c0 + c1 * c1 * c4 / (c3 * c3)
         summands.append(Gate(MUL, one, const, f1, g1))
         summands.append(Gate(MUL, one, zero, f2, g2))
@@ -323,8 +336,9 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
         const = c0 - c1 * c1 * inv2
         if not det.is_zero():
             const = const - w * w / (det * c2)
-        blk_low = _bivariate_rof(1, 2, c1, c2, c2, c3)
-        blk_high = _bivariate_rof(3, 4, c1, c2, c2, c3)
+        blk = (c1.value, c2.value, c2.value, c3.value, field)
+        blk_low = _bivariate_rof(1, 2, *blk)
+        blk_high = _bivariate_rof(3, 4, *blk)
         summands.append(Gate(MUL, inv2, const, blk_low, blk_high))
         if det.is_zero():
             if not w.is_zero():

@@ -376,8 +376,8 @@ def family4_decide(
             MUL,
             w,
             zero,
-            _bivariate_rof(*u, zero, one, s, zero),
-            _bivariate_rof(*v, zero, one, t, zero),
+            _bivariate_rof(*u, zero.value, one.value, s.value, zero.value, field),
+            _bivariate_rof(*v, zero.value, one.value, t.value, zero.value, field),
         )
 
     # C1: all three weights nonzero?

@@ -44,14 +44,14 @@ ADD = "add"
 MUL = "mul"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     var: int
     alpha: FieldElem
     beta: FieldElem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     op: str  # ADD or MUL
     alpha: FieldElem

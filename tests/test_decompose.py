@@ -14,8 +14,8 @@ from ropsum import (
     m_poly,
     prime_field,
 )
-from ropsum.decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from ropsum.rof import evaluate, print_rof, validate, verify_against
+from ropsum.decompose import _bivariate_rof, generic, pair_monomials, sympoly4, symmetric_halves
+from ropsum.rof import ADD, MUL, Gate, Leaf, evaluate, print_rof, validate, verify_against
 
 from helpers import random_poly, random_scalar
 
@@ -100,12 +100,83 @@ def test_generic_no_quadratic_branch():
     assert_good(s, p, 3)
 
 
+# the quadratic masks in the order generic picks its pivot
+QUADRATICS = (0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100)
+
+
+def _base4_block(rng, field, case):
+    """Coefficients on x1..x4 whose first quadratic is QUADRATICS[case], or
+    with no quadratic for case 6; later quadratics appear at random, and
+    every other entry is nonzero with probability 3/4."""
+    block = {}
+    for mask in range(16):
+        if mask in QUADRATICS:
+            rank = QUADRATICS.index(mask)
+            if rank < case or (rank > case and rng.random() < 0.5):
+                continue
+        elif rng.random() < 0.25:
+            continue
+        block[mask] = random_scalar(rng, field, nonzero=True)
+    return block
+
+
 def test_generic_pivot_branch_every_quadratic():
     # exercise each possible first nonzero quadratic coefficient
-    for pair_mask in (0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100):
+    for pair_mask in QUADRATICS:
         p = P(4, {pair_mask: 2, 0b1111: 1, 0b0001: 3})
         s = generic(p)
         assert_good(s, p, 3)
+    # and each of the seven base-4 cases, with random cubic and quartic
+    # entries, alone and as the blocks of n = 5 and 6
+    rng = random.Random(71)
+    for field in (QQ, F2, prime_field(3), prime_field(10007)):
+        for case in range(7):
+            for _ in range(8):
+                p = P(4, _base4_block(rng, field, case), field)
+                assert_good(generic(p), p, 3)
+            for n in (5, 6):
+                coeffs = {}
+                for high in range(1 << (n - 4)):
+                    block = _base4_block(rng, field, (case + high) % 7)
+                    coeffs.update({high << 4 | mask: c for mask, c in block.items()})
+                p = P(n, coeffs, field)
+                assert_good(generic(p), p, 3 << (n - 4))
+
+
+def test_bivariate_rof_every_branch():
+    """a + b x_u + c x_v + d x_u x_v from raw values, in each field kind and
+    with u > v as well: each branch gives its shape, and zero gives None."""
+    rng = random.Random(72)
+    nonzero, free, zero = "nonzero", "free", "zero"
+    # (a, b, c, d), and the gate op or the variable of the leaf
+    branches = [
+        ((free, free, free, nonzero), MUL),
+        ((free, nonzero, nonzero, zero), ADD),
+        ((free, nonzero, zero, zero), "u"),
+        ((free, zero, nonzero, zero), "v"),
+        ((nonzero, zero, zero, zero), "u"),
+        ((zero, zero, zero, zero), None),
+    ]
+    for field in (QQ, F2, prime_field(3), prime_field(10007)):
+
+        def draw(kind):
+            return field.zero() if kind == zero else random_scalar(rng, field, kind == nonzero)
+
+        for u, v in ((1, 2), (2, 4), (4, 3)):
+            for kinds, shape in branches:
+                for _ in range(4):
+                    a, b, c, d = (draw(kind) for kind in kinds)
+                    rof = _bivariate_rof(u, v, a.value, b.value, c.value, d.value, field)
+                    if shape is None:
+                        assert rof is None
+                        continue
+                    if shape in (ADD, MUL):
+                        assert isinstance(rof, Gate) and rof.op == shape
+                    else:
+                        assert isinstance(rof, Leaf) and rof.var == {"u": u, "v": v}[shape]
+                    assert validate(rof) == [] and rof.alpha.field == field
+                    bu, bv = 1 << (u - 1), 1 << (v - 1)
+                    assert evaluate(rof, 4) == P(4, {0: a, bu: b, bv: c, bu | bv: d}, field)
 
 
 def test_generic_counts_by_arity():
@@ -348,3 +419,37 @@ def test_decompositions_are_pinned():
     lines = _decomposition_corpus()
     assert len(lines) == CORPUS_SIZE
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORPUS_DIGEST
+
+
+# A second pinned corpus for what the first misses: generic and
+# pair_monomials at n = 8..10, where every block of generic has high
+# variables, and sympoly4 over F_2, all 32 combinations.  The digest was
+# computed before the builders moved to raw field values.
+
+WIDE_CORPUS_SIZE = 122
+WIDE_CORPUS_DIGEST = "e4028b582853972b220840d4776d70a7542613bd5a9807a020f82328acdd1a54"
+
+
+def _wide_decomposition_corpus():
+    rng = random.Random(4343)
+    lines = []
+
+    def record(name, s, target):
+        text = [print_rof(rof) for rof in s.summands]
+        lines.append(json.dumps([name, str(target.field), target.n, text]))
+
+    for field in CORPUS_FIELDS:
+        for n in (8, 9, 10):
+            for density in (0.15, 0.4, 0.9):
+                p = random_poly(rng, n, field, density)
+                record("generic", generic(p), p)
+                record("pair_monomials", pair_monomials(p), p)
+    for coeffs in itertools.product(range(2), repeat=5):
+        record("sympoly4", sympoly4(*coeffs, field=F2), combo(F2, *coeffs))
+    return lines
+
+
+def test_wide_decompositions_are_pinned():
+    lines = _wide_decomposition_corpus()
+    assert len(lines) == WIDE_CORPUS_SIZE
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WIDE_CORPUS_DIGEST

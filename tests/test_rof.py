@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -306,6 +307,29 @@ def test_evaluate_matches_the_public_operations(field):
                 total = total + _reference(t, n)
             assert sum_evaluate(s) == total
     assert refused > 100 and kept > 400
+
+
+def test_formula_nodes_are_frozen_slotted_values():
+    x1 = leaf(1, 2, 3)
+    t = gate(MUL, x1, leaf(2))
+    for node, name in ((x1, "var"), (x1, "alpha"), (t, "op"), (t, "left")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, ONE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    for node in (x1, t):
+        assert not hasattr(node, "__dict__")
+        # a slotted frozen dataclass refuses a name that is not a field
+        # with TypeError on CPython 3.10 and 3.11
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            node.note = ONE
+    assert x1.var == 1 and t.left is x1 and t.beta == 0
+    twin = gate(MUL, leaf(1, 2, 3), leaf(2))
+    assert twin == t and hash(twin) == hash(t) and hash(leaf(1, 2, 3)) == hash(x1)
+    assert gate(ADD, x1, leaf(2)) != t and leaf(1, 2, 4) != x1
+    assert repr(x1) == "Leaf(var=1, alpha=FieldElem(Q, 2), beta=FieldElem(Q, 3))"
+    shifted = dataclasses.replace(t, beta=QQ.elem(5))
+    assert shifted == gate(MUL, x1, leaf(2), b=5) and shifted.left is x1 and t.beta == 0
 
 
 def test_structural_multiplicativity():
