@@ -15,10 +15,11 @@ against its target before being handed back:
 * ``sympoly4`` -- any weighted combination of the 4-variable elementary
   symmetric polynomials in at most two summands, by a four-case table.
 
-Every strategy builds its formulas straight from coefficients, computing
-on the field's raw values and wrapping a value as a ``FieldElem`` only
-where it becomes a formula label; the one polynomial expansion is the
-final check.
+Every strategy builds its formulas straight from coefficients, on the
+field's raw values, with a ``FieldElem`` only for a formula label, and
+with one builder per shape: ``_chain`` for the gate chain and
+``_matching`` for w*(x_u1 x_u2 + x_v1 x_v2), both shared with
+:mod:`ropsum.recognize`.  The one polynomial expansion is the final check.
 """
 
 from __future__ import annotations
@@ -33,16 +34,27 @@ from .rof import ADD, MUL, Gate, Leaf, Rof, RopSum, verify_against
 from .scalars import FieldDescriptor, FieldElem
 
 
+def _chain(op: str, nodes: List[Rof], alpha: FieldElem, beta: FieldElem) -> Rof:
+    """alpha * op(w_1, op(w_2, ... op(w_k-1, w_k))) + beta, with unit inner gates."""
+    one, zero = alpha.field.one(), alpha.field.zero()
+    tree = nodes[-1]
+    for w in nodes[-2:0:-1]:
+        tree = Gate(op, one, zero, w, tree)
+    return Gate(op, alpha, beta, nodes[0], tree)
+
+
 def _mono_chain(variables: List[int], alpha: FieldElem, beta: FieldElem) -> Rof:
     """alpha * x_{v1} * ... * x_{vk} + beta as a right-leaning product chain."""
-    field = alpha.field
-    one, zero = field.one(), field.zero()
     if len(variables) == 1:
         return Leaf(variables[0], alpha, beta)
-    tree: Rof = Leaf(variables[-1], one, zero)
-    for v in reversed(variables[1:-1]):
-        tree = Gate(MUL, one, zero, Leaf(v, one, zero), tree)
-    return Gate(MUL, alpha, beta, Leaf(variables[0], one, zero), tree)
+    one, zero = alpha.field.one(), alpha.field.zero()
+    return _chain(MUL, [Leaf(v, one, zero) for v in variables], alpha, beta)
+
+
+def _matching(w: FieldElem, u: Tuple[int, int], v: Tuple[int, int]) -> Rof:
+    """w * (x_u1 x_u2 + x_v1 x_v2) for the variable pairs u and v."""
+    one, zero = w.field.one(), w.field.zero()
+    return Gate(ADD, w, zero, _mono_chain(u, one, zero), _mono_chain(v, one, zero))
 
 
 def _bivariate_rof(u: int, v: int, a, b, c, d, field: FieldDescriptor) -> Optional[Rof]:
@@ -239,10 +251,10 @@ def generic(p: MultilinearPoly) -> RopSum:
             parts = _generic_base4(block, field)
         else:
             parts = [_bivariate_rof(1, 2, *(block.get(m, zero.value) for m in range(4)), field)]
-        # the lowest high variable innermost, as the recursion wraps them
-        for b in _bits(high << low):
-            leaf = Leaf(b.bit_length(), one, zero)
-            parts = [Gate(MUL, one, zero, leaf, w) for w in parts]
+        # the highest variable outermost, as the recursion wraps them
+        high_leaves = [Leaf(b.bit_length(), one, zero) for b in reversed(_bits(high << low))]
+        if high_leaves:
+            parts = [_chain(MUL, high_leaves + [w], one, zero) for w in parts]
         summands += parts
     return _verified(summands, p)
 
@@ -281,8 +293,8 @@ def symmetric_halves(
                 Leaf(2 * i - 1, one, zero),
                 Leaf(2 * i, one, zero),
             )
-            rest = [v for v in range(1, n + 1) if v not in (2 * i - 1, 2 * i)]
-            summands.append(Gate(MUL, b, zero, pair, _mono_chain(rest, one, zero)))
+            rest = [Leaf(v, one, zero) for v in range(1, n + 1) if v not in (2 * i - 1, 2 * i)]
+            summands.append(_chain(MUL, [pair] + rest, b, zero))
     if n % 2:
         closer = None if a.is_zero() and b.is_zero() else Leaf(n, a, b)
     else:
@@ -342,14 +354,7 @@ def sympoly4(a0, a1, a2, a3, a4, field: Optional[FieldDescriptor] = None) -> Rop
         summands.append(Gate(MUL, inv2, const, blk_low, blk_high))
         if det.is_zero():
             if not w.is_zero():
-                second = Gate(
-                    ADD,
-                    w * inv2,
-                    zero,
-                    _mono_chain([1, 2], one, zero),
-                    _mono_chain([3, 4], one, zero),
-                )
-                summands.append(second)
+                summands.append(_matching(w * inv2, (1, 2), (3, 4)))
         else:
             # (x1x2 + w/det)(det x3x4 + w) / a2, whose constant is w^2/(det a2)
             left = _mono_chain([1, 2], one, w / det)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .decompose import _bivariate_rof, _mono_chain, _verified
+from .decompose import _bivariate_rof, _chain, _matching, _verified
 from .errors import PreconditionViolated, RopsumError
 from .mpoly import (
     MultilinearPoly,
@@ -156,20 +156,15 @@ def _is_rop_raw(coeffs: Dict[int, object], field: FieldDescriptor) -> Optional[R
 def _gate_chain(
     parts: List[Dict[int, object]], op: str, beta: FieldElem, field: FieldDescriptor
 ) -> Optional[Rof]:
-    """op(w_1, op(w_2, ... op(w_k-1, w_k))) + beta over the witnesses w_i
-    of two or more parts, with unit scales; None if a part is not
-    read-once."""
+    """The ``_chain`` of op over the witnesses of two or more parts, with
+    unit scale and shift beta; None if a part is not read-once."""
     witnesses = []
     for part in parts:
         w = _is_rop_raw(part, field)
         if w is None:
             return None
         witnesses.append(w)
-    one, zero = field.one(), field.zero()
-    tree = witnesses[-1]
-    for w in reversed(witnesses[1:-1]):
-        tree = Gate(op, one, zero, w, tree)
-    return Gate(op, one, beta, witnesses[0], tree)
+    return _chain(op, witnesses, field.one(), beta)
 
 
 def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
@@ -250,14 +245,7 @@ def check_c1prime(
             g_ikl = g.coeff(rest | bi)
             g_jkl = g.coeff(rest | bj)
             g_ijkl = g.coeff(full)
-            if g_ijkl.is_zero() and g_jkl.is_zero():
-                # c(a, b) = g_ikl * a + g_kl for every b.
-                if not g_ikl.is_zero():
-                    return i, j, -g_kl / g_ikl, zero
-                if g_kl.is_zero():
-                    return i, j, zero, zero
-                continue
-            # the slope is g_jkl at a = 0, and g_ijkl, nonzero when g_jkl is 0, at a = 1
+            # the slope is g_jkl at a = 0 and g_ijkl + g_jkl at a = 1
             for a in (zero, field.one()):
                 slope = g_ijkl * a + g_jkl
                 offset = g_ikl * a + g_kl
@@ -265,6 +253,9 @@ def check_c1prime(
                     return i, j, a, -offset / slope
                 if offset.is_zero():
                     return i, j, a, zero
+            # both slopes are zero: c(a, b) = g_ikl * a + g_kl for every b
+            if not g_ikl.is_zero():
+                return i, j, -g_kl / g_ikl, zero
     return None
 
 
@@ -366,10 +357,6 @@ def family4_decide(
         witness = _verified(summands, target)
         return Sum2Decision("expressible", branch, witness, **params)
 
-    def matching(w, u, v):
-        """w * (x_u1 x_u2 + x_v1 x_v2) for the variable pairs u and v."""
-        return Gate(ADD, w, zero, _mono_chain(u, one, zero), _mono_chain(v, one, zero))
-
     def binomials(w, u, s, v, t):
         """w * (x_u1 + s x_u2) * (x_v1 + t x_v2) for the variable pairs u and v."""
         return Gate(
@@ -383,7 +370,7 @@ def family4_decide(
     # C1: all three weights nonzero?
     if a.is_zero() or b.is_zero() or c.is_zero():
         groups = [(a, (1, 2), (3, 4)), (b, (1, 3), (2, 4)), (c, (1, 4), (2, 3))]
-        summands = [matching(w, u, v) for w, u, v in groups if not w.is_zero()]
+        summands = [_matching(w, u, v) for w, u, v in groups if not w.is_zero()]
         return finish(summands, "C1-false")
 
     # C2: pairwise distinct squared weights?  On failure, with pa^2 = pb^2
@@ -398,7 +385,7 @@ def family4_decide(
             continue
         sign = one if pa == pb else -one
         return finish(
-            [binomials(pa, u, sign, v, sign), matching(pc, u, v)],
+            [binomials(pa, u, sign, v, sign), _matching(pc, u, v)],
             "C2-false",
         )
 

@@ -27,7 +27,7 @@ from ropsum.recognize import (
     is_rop,
     sum2_refute,
 )
-from ropsum.rof import evaluate, validate, verify_against
+from ropsum.rof import ADD, MUL, Gate, evaluate, print_rof, validate, verify_against
 
 from helpers import random_poly, random_rof, random_scalar, random_variable_subset
 
@@ -675,3 +675,113 @@ def test_family_decision_agrees_with_the_oracle_on_f3():
         # the zero target is the empty sum; the search starts at k = 1
         assert len(d.witness.summands) >= (0 if target.is_zero() else k)
     assert found == {1: 19, 2: 8}
+
+
+# -- pinned recognizer witnesses ----------------------------------------------
+#
+# Digests of print_rof(is_rop(p)), "-" for None, computed before the
+# recognizer's chains were built by decompose._chain; any change to a
+# witness changes them.
+
+F3_N3_ROP_DIGEST = "029878b6a3a880ecc0fe9ddae4fbbc6e2301af9d3ded69182cf0bb8c7e9a38c5"
+PLANTED_ROP_DIGEST = "65c3100c52ae80887465a463a648e1ebdbed724446033dcceff19615cd823953"
+
+
+def _witness_line(p):
+    w = is_rop(p)
+    return "-" if w is None else print_rof(w)
+
+
+def _chain_parts(rof):
+    """The number of parts of the gate chain at rof's top: 1 for a leaf,
+    else 2 plus the run of right children with rof's op and unit labels."""
+    if not isinstance(rof, Gate):
+        return 1
+    parts, op, one = 2, rof.op, rof.alpha.field.one()
+    rof = rof.right
+    while isinstance(rof, Gate) and rof.op == op and rof.alpha == one and rof.beta.is_zero():
+        parts += 1
+        rof = rof.right
+    return parts
+
+
+def test_is_rop_witnesses_on_f3_n3_are_pinned():
+    F3 = prime_field(3)
+    lines = [
+        _witness_line(MultilinearPoly(3, F3, dict(enumerate(values))))
+        for values in product(range(3), repeat=8)
+    ]
+    assert sum(line != "-" for line in lines) == 2025
+    assert _digest(lines) == F3_N3_ROP_DIGEST
+
+
+def _planted_rop_corpus():
+    """Planted ROPs, ROP x S_3^2 (not read-once) and shifted products of
+    three or more ROPs on disjoint variables."""
+    rng = random.Random(2424)
+    corpus = []
+    for field in (QQ, F2, prime_field(5), prime_field(101)):
+        for n in range(4, 9):
+            for _ in range(6):
+                variables = random_variable_subset(rng, n, rng.randint(2, n))
+                corpus.append(evaluate(random_rof(rng, variables, field), n))
+            for _ in range(2):
+                rop = evaluate(random_rof(rng, list(range(1, n - 2)), field), n)
+                s3 = MultilinearPoly(n, field, {m << (n - 3): 1 for m in (0b011, 0b101, 0b110)})
+                corpus.append(rop.mul_disjoint(s3))
+            for _ in range(4):
+                # on at most 6 variables: over Q the commutators of a dense
+                # product on 8 variables take about a second
+                used = rng.sample(range(1, n + 1), rng.randint(3, min(n, 6)))
+                cuts = sorted(rng.sample(range(1, len(used)), rng.randint(2, min(len(used) - 1, 4))))
+                groups = [sorted(used[a:b]) for a, b in zip([0] + cuts, cuts + [len(used)])]
+                product_ = MultilinearPoly.constant(n, field, 1)
+                for group in groups:
+                    product_ = product_.mul_disjoint(evaluate(random_rof(rng, group, field), n))
+                corpus.append(product_ + MultilinearPoly.constant(n, field, random_scalar(rng, field)))
+    return corpus
+
+
+def test_is_rop_witnesses_on_planted_corpus_are_pinned():
+    lines, longest = [], {ADD: 0, MUL: 0}
+    for p in _planted_rop_corpus():
+        w = is_rop(p)
+        lines.append(json.dumps([str(p.field), p.n, "-" if w is None else print_rof(w)]))
+        stack = [] if w is None else [w]
+        while stack:  # the longest chain of each op anywhere in the witness
+            node = stack.pop()
+            if isinstance(node, Gate):
+                longest[node.op] = max(longest[node.op], _chain_parts(node))
+                stack += [node.left, node.right]
+    assert len(lines) == 240
+    assert sum(line.endswith('"-"]') for line in lines) == 40
+    assert longest[ADD] >= 3 and longest[MUL] >= 3
+    assert _digest(lines) == PLANTED_ROP_DIGEST
+
+
+# Digest of check_c1prime's full (i, j, a, b) answers, computed before the
+# case g_jkl = g_ijkl = 0 moved after the a in {0, 1} search.
+
+C1PRIME_DIGEST = "7ce5f62b21a7840bffaba7740000c761e38cbb964a9eedbb1be85a8f65027450"
+
+
+def test_c1prime_witnesses_are_pinned():
+    rng = random.Random(2425)
+    lines, reached = [], set()
+    for field in (QQ, F2, prime_field(3), prime_field(5)):
+        for density in (0.2, 0.35, 0.5, 0.8):
+            for _ in range(60):
+                g = random_poly(rng, 4, field, density)
+                got = check_c1prime(g)
+                if got is None:
+                    lines.append(json.dumps([str(field), None]))
+                    continue
+                i, j, a, b = got
+                lines.append(json.dumps([str(field), i, j, str(a), str(b)]))
+                rest = 0b1111 ^ 1 << (i - 1) ^ 1 << (j - 1)
+                if g.coeff(0b1111).is_zero() and g.coeff(rest | 1 << (j - 1)).is_zero():
+                    # the bilinear form is g_kl + a g_ikl for every b
+                    reached.add(str(a) if str(a) in ("0", "1") else "other")
+    # the b-free case answers a = 0, a = 1 and a = -g_kl/g_ikl otherwise
+    assert reached == {"0", "1", "other"}
+    assert _digest(lines) == C1PRIME_DIGEST
