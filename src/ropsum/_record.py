@@ -1,0 +1,59 @@
+"""The package's small value classes, written out by hand.
+
+The standard library's record generator is not used: its import pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``, and took about as long as all
+the rest of ``import ropsum.cli``, which every CLI process pays.
+
+A record names its fields, in constructor order, in ``_fields``; its
+``repr`` lists them by keyword, and two records are equal when they are of
+the same class with equal fields.  A ``Frozen`` record sets its fields
+once, in ``__init__``, with ``_set``.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+# Sets a field of a frozen record, past its refusing __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """A mutable record: compared by its fields, and so with no hash."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+        )
+
+
+class Frozen(Record):
+    """An immutable record: assigning or deleting any attribute raises
+    ``AttributeError``, and the hash is that of the fields.  A copy is
+    rebuilt by calling the class on the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()

@@ -27,7 +27,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .decompose import generic, pair_monomials, sympoly4, symmetric_halves
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, PreconditionViolated
 from .mpoly import MultilinearPoly, _check_var_count, commutator, format_poly, sparse_str
 from .oracle import _check_kmax, closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
@@ -225,6 +225,8 @@ def _cmd_refute2(args, field) -> int:
 
 
 def _cmd_oracle(args, field) -> int:
+    if field.kind != "prime":  # before the target is parsed in that field
+        raise PreconditionViolated("the oracle needs a prime field, --field fp:<p>")
     if args.kmax is not None:  # before any enumeration
         _check_kmax(args.kmax)
         if args.min_k is None:

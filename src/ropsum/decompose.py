@@ -24,7 +24,6 @@ with one builder per shape: ``_chain`` for the gate chain and
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -147,10 +146,12 @@ def _linear_rof(const, terms: List[Tuple[int, object]], field: FieldDescriptor) 
     terms = [(v, c) for v, c in terms if c]
     if not terms:
         return Leaf(1, zero, label(const)) if const else None
-    tree: Rof = Leaf(terms[0][0], label(terms[0][1]), zero)
-    for v, c in terms[1:]:
-        tree = Gate(ADD, one, zero, tree, Leaf(v, label(c), zero))
-    return replace(tree, beta=label(const))
+    shifts = [zero] * (len(terms) - 1) + [label(const)]  # the last node's is the constant
+    (v, c), *rest = terms
+    tree: Rof = Leaf(v, label(c), shifts[0])
+    for (v, c), beta in zip(rest, shifts[1:]):
+        tree = Gate(ADD, one, beta, tree, Leaf(v, label(c), zero))
+    return tree
 
 
 def _pivot_case(i: int, j: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:

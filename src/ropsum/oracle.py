@@ -23,10 +23,10 @@ Enumeration is single-threaded and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ._record import Frozen, Record, _set
 from .errors import PreconditionViolated
 from .mpoly import MultilinearPoly
 from .scalars import prime_field
@@ -52,19 +52,19 @@ def _check_kmax(kmax: int):
         raise PreconditionViolated("kmax must be between 1 and %d" % KMAX_LIMIT)
 
 
-@dataclass(frozen=True)
-class PackedPoly:
+class PackedPoly(Frozen):
     """A multilinear polynomial over F_p on n variables, packed into an int:
     digit ``mask`` (base p) is the coefficient of the monomial ``mask``."""
 
-    p: int
-    n: int
-    value: int
+    __slots__ = _fields = ("p", "n", "value")
 
-    def __post_init__(self):
-        _check_feasible(self.p, self.n)
-        if self.value < 0 or self.value >= self.p ** (1 << self.n):
+    def __init__(self, p: int, n: int, value: int):
+        _check_feasible(p, n)
+        if value < 0 or value >= p ** (1 << n):
             raise PreconditionViolated("packed value outside its digit range")
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "value", value)
 
 
 def pack(poly: MultilinearPoly) -> PackedPoly:
@@ -92,8 +92,7 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
     return MultilinearPoly._trusted(packed.n, field, coeffs)
 
 
-@dataclass
-class RopClass:
+class RopClass(Record):
     """The deduplicated set of read-once computable functions over F_p.
 
     ``members`` is sorted on construction, and three indexes are built: the
@@ -104,15 +103,14 @@ class RopClass:
     A key splits at Q = p^(2^(n-2)) (1 at n = 1) the same way, its top half
     being the ∂_{n-1}∂_n part.  No index assumes the class is closed."""
 
-    p: int
-    n: int
-    members: Tuple[int, ...]  # packed coefficient encodings, sorted
+    _fields = ("p", "n", "members")
 
-    def __post_init__(self):
-        self.members = tuple(sorted(self.members))
+    def __init__(self, p: int, n: int, members: Iterable[int]):
+        self.p, self.n = p, n
+        self.members = tuple(sorted(members))  # packed coefficient encodings
         self._member_set = frozenset(self.members)
-        self._half = half = self.p ** (1 << (self.n - 1))
-        self._quarter = quarter = self.p ** ((1 << self.n) >> 2)
+        self._half = half = p ** (1 << (n - 1))
+        self._quarter = quarter = p ** ((1 << n) >> 2)
         self._by_hi = {
             hi: tuple(run) for hi, run in groupby(self.members, lambda v: v // half)
         }
@@ -304,13 +302,22 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClosureReport:
-    p: int
-    n: int
-    members_checked: int
-    derivative_violations: List[Tuple[int, int]]
-    restriction_violations: List[Tuple[int, int, int]]
+class ClosureReport(Record):
+    _fields = (
+        "p", "n", "members_checked", "derivative_violations", "restriction_violations"
+    )
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        members_checked: int,
+        derivative_violations: List[Tuple[int, int]],
+        restriction_violations: List[Tuple[int, int, int]],
+    ):
+        self.p, self.n, self.members_checked = p, n, members_checked
+        self.derivative_violations = derivative_violations
+        self.restriction_violations = restriction_violations
 
     @property
     def ok(self) -> bool:

@@ -31,9 +31,9 @@ arithmetic, and takes the commutator from :mod:`ropsum.mpoly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ._record import Frozen, _set
 from .decompose import _bivariate_rof, _chain, _matching, _verified
 from .errors import PreconditionViolated, RopsumError
 from .mpoly import (
@@ -284,8 +284,7 @@ def check_c2prime(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sum2Decision:
+class Sum2Decision(Frozen):
     """Certificate for the can-it-be-a-sum-of-two-read-once-formulas question.
 
     ``expressible`` carries a verified witness and the condition that
@@ -294,14 +293,21 @@ class Sum2Decision:
     reason.
     """
 
-    outcome: str  # "expressible" | "not_expressible" | "inconclusive"
-    branch: Optional[str] = None  # "C1-false" | "C2-false" | "C3-false"
-    witness: Optional[RopSum] = None
-    d: Optional[Tuple[FieldElem, FieldElem, FieldElem]] = None
-    note: Optional[str] = None
-    tau: Optional[FieldElem] = None
-    delta: Optional[FieldElem] = None
-    mu: Optional[FieldElem] = None
+    __slots__ = _fields = ("outcome", "branch", "witness", "d", "note", "tau", "delta", "mu")
+
+    def __init__(
+        self,
+        outcome: str,  # "expressible" | "not_expressible" | "inconclusive"
+        branch: Optional[str] = None,  # "C1-false" | "C2-false" | "C3-false"
+        witness: Optional[RopSum] = None,
+        d: Optional[Tuple[FieldElem, FieldElem, FieldElem]] = None,
+        note: Optional[str] = None,
+        tau: Optional[FieldElem] = None,
+        delta: Optional[FieldElem] = None,
+        mu: Optional[FieldElem] = None,
+    ):
+        for name, value in zip(self._fields, (outcome, branch, witness, d, note, tau, delta, mu)):
+            _set(self, name, value)
 
     def to_json_dict(self) -> dict:
         out: dict = {"outcome": self.outcome}

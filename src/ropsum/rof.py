@@ -23,9 +23,9 @@ variables, whose expansion could reach 2^n terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ._record import Frozen, _set
 from .errors import (
     FieldMismatch,
     IndexOutOfRange,
@@ -44,20 +44,44 @@ ADD = "add"
 MUL = "mul"
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    var: int
-    alpha: FieldElem
-    beta: FieldElem
+class Leaf(Frozen):
+    __slots__ = _fields = ("var", "alpha", "beta")
+
+    def __init__(self, var: int, alpha: FieldElem, beta: FieldElem):
+        _set(self, "var", var)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+
+    # a tree compares and hashes node by node, so the nodes spell out their
+    # fields rather than go through Frozen's generic key
+    def __eq__(self, other):
+        if other.__class__ is Leaf:
+            return (self.var, self.alpha, self.beta) == (other.var, other.alpha, other.beta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.alpha, self.beta))
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    op: str  # ADD or MUL
-    alpha: FieldElem
-    beta: FieldElem
-    left: "Rof"
-    right: "Rof"
+class Gate(Frozen):
+    __slots__ = _fields = ("op", "alpha", "beta", "left", "right")
+
+    def __init__(self, op: str, alpha: FieldElem, beta: FieldElem, left: "Rof", right: "Rof"):
+        _set(self, "op", op)  # ADD or MUL
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is Gate:
+            return (self.op, self.alpha, self.beta, self.left, self.right) == (
+                other.op, other.alpha, other.beta, other.left, other.right
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.alpha, self.beta, self.left, self.right))
 
 
 Rof = Union[Leaf, Gate]
@@ -267,13 +291,15 @@ def three_var_linearizing_restriction(rof: Rof) -> Tuple[int, FieldElem]:
 # -- sums of read-once formulas ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RopSum:
+class RopSum(Frozen):
     """An ordered sum of read-once formulas over a shared variable range."""
 
-    field: FieldDescriptor
-    n: int
-    summands: Tuple[Rof, ...]
+    __slots__ = _fields = ("field", "n", "summands")
+
+    def __init__(self, field: FieldDescriptor, n: int, summands: Tuple[Rof, ...]):
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "summands", summands)
 
     def __len__(self):
         return len(self.summands)

@@ -241,6 +241,7 @@ def test_cmd_oracle_takes_its_field_from_the_field_flag(capsys):
     for extra in ((), ("--min-k", "x1")):
         code, out, err = run(capsys, "oracle", "--field", "q", "--n", "2", *extra)
         assert code == 3 and out == "" and "precondition" in err
+        assert "the oracle needs a prime field, --field fp:<p>" in err
 
 
 def test_cmd_oracle_closure(capsys):

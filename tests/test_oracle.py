@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import statistics
 import struct
@@ -178,6 +180,32 @@ def test_enumeration_is_deterministic():
     a = enumerate_rops(2, 3)
     b = enumerate_rops(2, 3)
     assert a.members == b.members
+
+
+def test_packed_polys_and_classes_are_values():
+    a = PackedPoly(3, 2, 80)
+    assert a == PackedPoly(3, 2, 80) and hash(a) == hash(PackedPoly(3, 2, 80))
+    assert a != PackedPoly(3, 2, 79) and a != PackedPoly(5, 2, 80)
+    for name in ("p", "n", "value", "note"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    assert a.value == 80 and repr(a) == "PackedPoly(p=3, n=2, value=80)"
+    assert pickle.loads(pickle.dumps(a)) == a and copy.copy(a) == a
+    for value in (-1, 3 ** 4):
+        with pytest.raises(PreconditionViolated, match="^packed value outside its digit range$"):
+            PackedPoly(3, 2, value)
+    # a class sorts its members and keeps its indexes; it is compared by
+    # its fields and, being built in place, has no hash
+    cls = RopClass(2, 1, [3, 1, 2])
+    assert cls.members == (1, 2, 3) and 2 in cls and 0 not in cls and len(cls) == 3
+    assert cls == RopClass(2, 1, (2, 3, 1)) and cls != RopClass(2, 1, (1, 2))
+    assert repr(cls) == "RopClass(p=2, n=1, members=(1, 2, 3))"
+    with pytest.raises(TypeError):
+        hash(cls)
+    assert repr(closure_report(RopClass(2, 1, (0, 1, 2, 3)))) == (
+        "ClosureReport(p=2, n=1, members_checked=4, derivative_violations=[], "
+        "restriction_violations=[])"
+    )
 
 
 def test_closure_of_empty_class_is_vacuous():

@@ -595,6 +595,43 @@ def test_refute2_out_of_scope_note():
     assert d.outcome == "inconclusive"
 
 
+def test_decisions_are_frozen_and_their_json_is_pinned():
+    expressible = family4_decide(1, 2, 3)
+    refuted = family4_decide(2, 4, 5)
+    open_case = sum2_refute(P(4, {0b0011: 1, 0b1100: 1, 0b1111: 1}))
+    for d in (expressible, refuted, open_case):
+        for name in ("outcome", "witness", "note", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+    assert family4_decide(2, 4, 5) == refuted and hash(family4_decide(2, 4, 5)) == hash(refuted)
+    assert expressible.to_json_dict() == {
+        "outcome": "expressible",
+        "branch": "C3-false",
+        "witness": [
+            "(mul (1 0) (add (1 0) (leaf (1 0) x1) (leaf (1 0) x3)) "
+            "(add (1 0) (leaf (1 0) x2) (leaf (1 0) x4)))",
+            "(mul (2 0) (add (1 0) (leaf (1 0) x1) (leaf (1 0) x2)) "
+            "(add (1 0) (leaf (1 0) x3) (leaf (1 0) x4)))",
+        ],
+        "params": {"tau": "0", "delta": "-1", "mu": "-1"},
+    }
+    assert refuted.to_json_dict() == {
+        "outcome": "not_expressible",
+        "d": ["-231", "-231", "-231"],
+        "note": "all three conditions hold; no sum of two read-once formulas exists",
+    }
+    assert open_case.to_json_dict() == {
+        "outcome": "inconclusive",
+        "note": "C1' holds at (i=1, j=2): possibly expressible",
+    }
+    assert repr(refuted) == (
+        "Sum2Decision(outcome='not_expressible', branch=None, witness=None, "
+        "d=(FieldElem(Q, -231), FieldElem(Q, -231), FieldElem(Q, -231)), "
+        "note='all three conditions hold; no sum of two read-once formulas exists', "
+        "tau=None, delta=None, mu=None)"
+    )
+
+
 def test_decision_json_shape():
     d = family4_decide(2, 4, 5)
     j = d.to_json_dict()
