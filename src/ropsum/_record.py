@@ -1,4 +1,4 @@
-"""The package's small value classes, written out by hand.
+"""The package's value classes, written out by hand.
 
 The standard library's record generator is not used: its import pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, and took about as long as all
@@ -7,7 +7,9 @@ the rest of ``import ropsum.cli``, which every CLI process pays.
 A record names its fields, in constructor order, in ``_fields``; its
 ``repr`` lists them by keyword, and two records are equal when they are of
 the same class with equal fields.  A ``Frozen`` record sets its fields
-once, in ``__init__``, with ``_set``.
+once, in ``__init__``, with ``_set``.  The field descriptors, the
+scalars, the polynomials, the formulas and their sums are all ``Frozen``,
+so each of them refuses assignment and survives ``copy`` and ``pickle``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ class Record:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
+        # fields shared by many values, such as a field descriptor, are
+        # mostly compared with themselves
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented

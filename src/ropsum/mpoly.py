@@ -25,6 +25,7 @@ from itertools import combinations
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from ._record import Frozen, _set
 from .errors import FieldMismatch, IndexOutOfRange, PreconditionViolated
 from .scalars import QQ, FieldDescriptor, FieldElem
 
@@ -74,19 +75,20 @@ def _edges(coeffs: Dict[int, object]) -> Set[Tuple[int, int]]:
     return edges
 
 
-class _Poly:
-    """A raw coefficient map on variables x_1..x_n over a field."""
+class _Poly(Frozen):
+    """A raw coefficient map on variables x_1..x_n over a field; equal to
+    a polynomial of its own class with the same three fields."""
 
-    __slots__ = ("n", "field", "coeffs")
+    __slots__ = _fields = ("n", "field", "coeffs")
 
     @classmethod
     def _trusted(cls, n: int, field: FieldDescriptor, coeffs: dict):
         """An instance on a canonical raw map (reduced values, no zero
         entries), unchecked: for results built inside the package."""
         p = object.__new__(cls)
-        p.n = n
-        p.field = field
-        p.coeffs = coeffs
+        _set(p, "n", n)
+        _set(p, "field", field)
+        _set(p, "coeffs", coeffs)
         return p
 
     def is_zero(self) -> bool:
@@ -99,21 +101,12 @@ class _Poly:
                 "polynomials on %d and %d variables" % (self.n, other.n)
             )
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
         return "%s(%d, %r, %s)" % (type(self).__name__, self.n, self.field, self)
 
 
 class MultilinearPoly(_Poly):
-    """An exact multilinear polynomial; immutable by convention."""
+    """An exact multilinear polynomial."""
 
     __slots__ = ()
 
@@ -122,20 +115,16 @@ class MultilinearPoly(_Poly):
         raw = field.raw
         clean = {}
         for mask, c in coeffs.items():
-            if mask < 0 or mask >= (1 << n):
-                raise IndexOutOfRange("monomial mask %d outside [0, 2^%d)" % (mask, n))
+            if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
+                raise IndexOutOfRange("monomial mask %r outside [0, 2^%d)" % (mask, n))
             c = raw(c)
             if c:
                 clean[mask] = c
-        self.n = n
-        self.field = field
-        self.coeffs = clean
+        _set(self, "n", n)
+        _set(self, "field", field)
+        _set(self, "coeffs", clean)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, field: FieldDescriptor) -> "MultilinearPoly":
-        return cls(n, field, {})
 
     @classmethod
     def constant(cls, n: int, field: FieldDescriptor, c: Scalar) -> "MultilinearPoly":
@@ -152,14 +141,8 @@ class MultilinearPoly(_Poly):
         c = self.coeffs.get(mask)
         return self.field.zero() if c is None else FieldElem(self.field, c)
 
-    def is_constant(self) -> bool:
-        return all(m == 0 for m in self.coeffs)
-
     def var_mask(self) -> int:
         return _support(self.coeffs)
-
-    def variables(self) -> List[int]:
-        return [b.bit_length() for b in _bits(self.var_mask())]
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -235,6 +218,7 @@ class MultilinearPoly(_Poly):
 
     # -- comparison / display ----------------------------------------------
 
+    # Frozen's hash of the fields fails on the coefficient dict
     def __hash__(self):
         return hash((self.n, self.field, frozenset(self.coeffs.items())))
 
@@ -323,12 +307,14 @@ class SparsePoly(_Poly):
     multilinear polynomial, whose individual exponents are at most 2 since
     A, B, C and D are multilinear.  The public constructor takes exponent
     tuples, each exponent in 0..MAX_EXPONENT, so results can be compared
-    against polynomials built outside the package.
+    against polynomials built outside the package; a copy is rebuilt from
+    the packed map by ``_trusted``.  Not hashable.
     """
 
     MAX_EXPONENT = 4
 
     __slots__ = ()
+    __hash__ = None
 
     def __init__(
         self,
@@ -346,9 +332,12 @@ class SparsePoly(_Poly):
             c = field.raw(c)
             if c:
                 clean[sum(e << (_WIDTH * i) for i, e in enumerate(exps))] = c
-        self.n = n
-        self.field = field
-        self.coeffs = clean
+        _set(self, "n", n)
+        _set(self, "field", field)
+        _set(self, "coeffs", clean)
+
+    def __reduce__(self):
+        return SparsePoly._trusted, (self.n, self.field, self.coeffs)
 
     def __str__(self):
         return sparse_str(self)

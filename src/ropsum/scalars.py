@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import Frozen, _set
 from .errors import DivisionByZero, FieldMismatch, ParseError, PreconditionViolated
 
 MAX_PRIME = 2**31
@@ -55,19 +56,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class FieldDescriptor:
+class FieldDescriptor(Frozen):
     """The ambient field: the rationals, or F_p for a prime 2 <= p < 2^31.
 
     ``add``, ``sub``, ``mul``, ``neg``, ``div`` and ``inv`` act on raw
     values and return canonical raw values.  Bulk loops may instead combine
     raw values with Python's own ``+``, ``-`` and ``*`` and pass the
     resulting map through ``canon``, which reduces every value to its
-    canonical form and drops the zero entries.
+    canonical form and drops the zero entries.  Two descriptors are equal
+    when their kind and modulus are, and a copy is rebuilt from those two.
     """
 
     __slots__ = (
         "kind", "p", "add", "sub", "mul", "neg", "div", "inv", "canon", "_zero", "_one"
     )
+    _fields = ("kind", "p")
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == "rationals":
@@ -97,17 +100,10 @@ class FieldDescriptor:
         else:
             raise PreconditionViolated("unknown field kind %r" % kind)
         for name, value in zip(self.__slots__, (kind, p) + ops):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
         # FieldElem is immutable, so one zero and one one serve every caller
-        object.__setattr__(self, "_zero", FieldElem(self, self.raw(0)))
-        object.__setattr__(self, "_one", FieldElem(self, self.raw(1)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldDescriptor is immutable")
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "rationals" else self.p
+        _set(self, "_zero", FieldElem(self, self.raw(0)))
+        _set(self, "_one", FieldElem(self, self.raw(1)))
 
     def zero(self) -> "FieldElem":
         return self._zero
@@ -116,11 +112,16 @@ class FieldDescriptor:
         return self._one
 
     def raw(self, value: Union[int, Fraction, "FieldElem"]):
-        """The canonical raw value of an int, Fraction or FieldElem."""
+        """The canonical raw value of an int, Fraction or FieldElem; any
+        other value, such as a float or a string, is refused."""
         if isinstance(value, FieldElem):
             if value.field is not self and value.field != self:
                 raise FieldMismatch("element of %s used in %s" % (value.field, self))
             return value.value
+        if not isinstance(value, (int, Fraction)):
+            raise PreconditionViolated(
+                "scalar %r is not an int, Fraction or FieldElem" % (value,)
+            )
         if self.kind == "rationals":
             return Fraction(value)
         if isinstance(value, Fraction):
@@ -135,16 +136,6 @@ class FieldDescriptor:
         raw = self.raw(value)
         return value if isinstance(value, FieldElem) else FieldElem(self, raw)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldDescriptor)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
     def __repr__(self):
         return "Q" if self.kind == "rationals" else "F_%d" % self.p
 
@@ -157,21 +148,18 @@ def prime_field(p: int) -> FieldDescriptor:
     return FieldDescriptor("prime", p)
 
 
-class FieldElem:
+class FieldElem(Frozen):
     """An immutable exact scalar in a fixed field.
 
     Arithmetic accepts ints (coerced into the element's field) or elements
     of the same field.  All operations are pure.
     """
 
-    __slots__ = ("field", "value")
+    __slots__ = _fields = ("field", "value")
 
     def __init__(self, field: FieldDescriptor, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
+        _set(self, "field", field)
+        _set(self, "value", value)
 
     def _coerce(self, other):
         """The raw value of an operand in this element's field, or None
@@ -227,6 +215,7 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.value == 0
 
+    # equal to the int or Fraction it stands for, so not Frozen's equality
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.elem(other)

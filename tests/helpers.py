@@ -20,6 +20,11 @@ def random_scalar(rng: random.Random, field: FieldDescriptor, nonzero: bool = Fa
             return field.elem(value)
 
 
+def variables_of(p: MultilinearPoly) -> List[int]:
+    """The indices i of the variables x_i that occur in p, in order."""
+    return [i + 1 for i in range(p.n) if p.var_mask() >> i & 1]
+
+
 def random_poly(
     rng: random.Random,
     n: int,

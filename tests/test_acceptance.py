@@ -37,6 +37,7 @@ from helpers import (
     random_rof,
     random_scalar,
     random_variable_subset,
+    variables_of,
 )
 
 F2 = prime_field(2)
@@ -183,7 +184,7 @@ def test_criterion_4_derivative_and_multiplicativity_suites(
                 mask = f2_evals_to_coeff_mask(packed_evals, n)
                 coeffs = {m: 1 for m in range(1 << n) if (mask >> m) & 1}
                 p = MultilinearPoly(n, F2, coeffs)
-                var_list = p.variables()
+                var_list = variables_of(p)
                 assert set(var_list) <= allowed
                 semantic = all(
                     not p.partial(i).partial(j).is_zero()
@@ -237,7 +238,7 @@ def test_criterion_5_constructive_upper_bounds():
                 a4 = a4 + QQ.one()
             s = sympoly4(a0, a1, a2, a3, a4)
             assert len(s.summands) <= 2
-            target = MultilinearPoly.zero(4, QQ)
+            target = MultilinearPoly(4, QQ, {})
             for k, c in enumerate((a0, a1, a2, a3, a4)):
                 target = target + elementary_symmetric(4, k, QQ).scale(c)
             assert verify_against(s, target)

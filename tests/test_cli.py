@@ -147,7 +147,7 @@ def test_cmd_decompose_sympoly4_and_verify(capsys, spec):
     field = QQ if spec == "q" else prime_field(int(spec[3:]))
     # one coefficient row for each of the four cases of the table
     for coeffs in [(2, 3, 0, 0, 4), (0, 1, 0, 1, 0), (1, 1, 1, 1, 1), (1, 2, 3, 4, 1)]:
-        target = MultilinearPoly.zero(4, field)
+        target = MultilinearPoly(4, field, {})
         for k, c in enumerate(coeffs):
             target = target + elementary_symmetric(4, k, field).scale(c)
         strategy = "sympoly4:" + ",".join(map(str, coeffs))

@@ -76,7 +76,7 @@ def test_pairing_respects_ceiling_bound():
 
 
 def test_pairing_of_zero_is_the_empty_sum():
-    zero = MultilinearPoly.zero(3, QQ)
+    zero = MultilinearPoly(3, QQ, {})
     s = pair_monomials(zero)
     assert s.summands == () and verify_against(s, zero)
 
@@ -200,7 +200,7 @@ def test_generic_over_prime_fields():
 
 
 def test_generic_zero_gives_empty_sum():
-    assert len(generic(MultilinearPoly.zero(4, QQ)).summands) == 0
+    assert len(generic(MultilinearPoly(4, QQ, {})).summands) == 0
 
 
 def test_pairing_and_generic_refuse_an_empty_variable_range():
@@ -271,7 +271,7 @@ def test_symmetric_halves_f2():
 
 
 def combo(field, a0, a1, a2, a3, a4):
-    out = MultilinearPoly.zero(4, field)
+    out = MultilinearPoly(4, field, {})
     for k, c in enumerate((a0, a1, a2, a3, a4)):
         out = out + elementary_symmetric(4, k, field).scale(c)
     return out
@@ -405,7 +405,7 @@ def _decomposition_corpus():
             for _ in range(4):
                 a, b = random_scalar(rng, field), random_scalar(rng, field)
                 record("symmetric_halves", symmetric_halves(n, a, b, field), m_poly(n, a, b, field))
-        if field.characteristic != 2:
+        if field.p != 2:
             for _ in range(40):
                 coeffs = [
                     random_scalar(rng, field) if rng.random() < 0.6 else field.zero()

@@ -208,7 +208,7 @@ def test_linear_dependent_examples():
     ]
     dep = linear_dependent(polys)
     assert dep is not None
-    acc = MultilinearPoly.zero(4, QQ)
+    acc = MultilinearPoly(4, QQ, {})
     for coeff, poly in zip(dep, polys):
         acc = acc + poly.scale(coeff)
     assert acc.is_zero()
@@ -284,6 +284,14 @@ def test_variable_count_cap():
         MultilinearPoly(31, QQ, {})
     with pytest.raises(IndexOutOfRange, match=r"^monomial mask 4 outside \[0, 2\^2\)$"):
         MultilinearPoly(2, QQ, {0b100: 1})
+
+
+def test_a_mask_that_is_not_an_int_is_refused():
+    # a float mask would pass the range check, then break format_poly
+    for mask in (1.0, "1", None):
+        with pytest.raises(IndexOutOfRange, match=r"^monomial mask .+ outside \[0, 2\^2\)$"):
+            MultilinearPoly(2, QQ, {mask: 1})
+    assert str(MultilinearPoly(2, QQ, {True: 1})) == "x1"
 
 
 def test_sparse_poly_refuses_a_count_outside_the_range():

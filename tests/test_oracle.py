@@ -111,7 +111,7 @@ def test_zero_has_one_rule_min_k_counts_from_one(classes):
     # min_k searches k >= 1, and zero is one zero-scaled leaf, so it answers
     # 1; a strategy's decomposition of zero is the empty sum
     F3 = prime_field(3)
-    zero = MultilinearPoly.zero(4, F3)
+    zero = MultilinearPoly(4, F3, {})
     assert min_k(pack(zero), classes(3, 4)) == 1
     for s in (
         pair_monomials(zero),

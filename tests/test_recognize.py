@@ -29,7 +29,7 @@ from ropsum.recognize import (
 )
 from ropsum.rof import ADD, MUL, Gate, evaluate, print_rof, validate, verify_against
 
-from helpers import random_poly, random_rof, random_scalar, random_variable_subset
+from helpers import random_poly, random_rof, random_scalar, random_variable_subset, variables_of
 
 F2 = prime_field(2)
 F7 = prime_field(7)
@@ -73,7 +73,7 @@ def _factors(p):
 
 def test_factor_monomial():
     fs = _factors(P(2, {0b11: 1}))
-    assert [f.variables() for f in fs] == [[1], [2]]
+    assert [variables_of(f) for f in fs] == [[1], [2]]
     prod = fs[0].mul_disjoint(fs[1])
     assert prod == P(2, {0b11: 1})
 
@@ -96,9 +96,9 @@ def test_factor_random_products():
         n = rng.randint(2, 7)
         cut = rng.randint(1, n - 1)
         left_vars = set(random_variable_subset(rng, n, cut))
-        left = MultilinearPoly.zero(n, QQ)
-        right = MultilinearPoly.zero(n, QQ)
-        while left.is_constant():
+        left = MultilinearPoly(n, QQ, {})
+        right = MultilinearPoly(n, QQ, {})
+        while not left.var_mask():
             left = MultilinearPoly(
                 n,
                 QQ,
@@ -109,7 +109,7 @@ def test_factor_random_products():
                     and rng.random() < 0.6
                 },
             )
-        while right.is_constant():
+        while not right.var_mask():
             right = MultilinearPoly(
                 n,
                 QQ,
@@ -133,7 +133,7 @@ def _all_pairs_blocks(p):
     """Reference blocks: the components of the pairs with a nonzero
     commutator, over all variable pairs, each as a bit mask, ordered by
     lowest variable."""
-    bits = [1 << (v - 1) for v in p.variables()]
+    bits = [1 << (v - 1) for v in variables_of(p)]
     joined = {b: b for b in bits}
     for bi, bj in combinations(bits, 2):
         if _commutator_raw(p.coeffs, bi, bj, p.field)[0]:
@@ -190,7 +190,7 @@ def test_factor_blocks_match_all_pairs_components(field):
                 factor = _random_factor(rng, n, field, group)
             p = p.mul_disjoint(factor)
         factors = _factors(p)
-        blocks = [sum(1 << (v - 1) for v in f.variables()) for f in factors]
+        blocks = [f.var_mask() for f in factors]
         assert blocks == _all_pairs_blocks(p)
         if trial % 3 == 1:
             assert blocks == sorted(1 << (v - 1) for v in variables)
@@ -469,7 +469,7 @@ def test_c2prime_dependence_verifies():
         g.partial(j),
         MultilinearPoly.constant(4, QQ, 1),
     ]
-    acc = MultilinearPoly.zero(4, QQ)
+    acc = MultilinearPoly(4, QQ, {})
     for c, poly in zip(dep, polys):
         acc = acc + poly.scale(c)
     assert acc.is_zero()

@@ -8,6 +8,7 @@ from ropsum import (
     QQ,
     DivisionByZero,
     FieldMismatch,
+    MultilinearPoly,
     ParseError,
     PreconditionViolated,
     format_scalar,
@@ -187,6 +188,20 @@ def test_parse_errors():
         parse_scalar("1/0", QQ)
     with pytest.raises(ParseError):
         parse_scalar("abc", QQ)
+
+
+def test_a_scalar_that_is_not_an_int_fraction_or_elem_is_refused():
+    # a float would be stored inexactly (over F_p, as a non-member), and a
+    # string would be parsed; parse_scalar is the one reader of text
+    for field, value in ((QQ, 0.1), (QQ, "1/3"), (F7, 2.5), (F7, "3"), (QQ, None)):
+        with pytest.raises(PreconditionViolated, match=r"^scalar .+ is not an int, Fraction or FieldElem$"):
+            field.elem(value)
+    with pytest.raises(PreconditionViolated, match=r"^scalar 2\.5 is not"):
+        MultilinearPoly(1, prime_field(5), {1: 2.5})
+    with pytest.raises(PreconditionViolated):
+        MultilinearPoly.constant(2, QQ, 0.5)
+    assert QQ.elem(Fraction(1, 3)) == parse_scalar("1/3", QQ)
+    assert F7.elem(Fraction(1, 2)) == 4 and F7.elem(True) == 1
 
 
 def test_immutability():
