@@ -4,16 +4,20 @@ The standard library's record generator is not used: its import pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, and took about as long as all
 the rest of ``import ropsum.cli``, which every CLI process pays.
 
-A record names its fields, in constructor order, in ``_fields``; its
-``repr`` lists them by keyword, and two records are equal when they are of
-the same class with equal fields.  A ``Frozen`` record sets its fields
-once, in ``__init__``, with ``_set``.  The field descriptors, the
-scalars, the polynomials, the formulas and their sums are all ``Frozen``,
-so each of them refuses assignment and survives ``copy`` and ``pickle``.
+A record names its fields, in constructor order, in ``_fields``, and each
+class gets its key once, when it is made: ``operator.attrgetter`` of the
+fields, which reads them all in one call into a tuple.  Equality, the
+hash, the copy and the ``repr`` all read the fields through it, so two
+records are equal when they are of the same class with equal fields.  A
+``Frozen`` record sets its fields once, in ``__init__``, with ``_set``.
+The field descriptors, the scalars, the polynomials, the formulas and
+their sums are all ``Frozen``, so each of them refuses assignment and
+survives ``copy`` and ``pickle``.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Tuple
 
 # Sets a field of a frozen record, past its refusing __setattr__.
@@ -26,8 +30,11 @@ class Record:
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls):
+        fields = cls._fields
+        # attrgetter of one name returns the bare value, not a tuple
+        cls._key = staticmethod(attrgetter(*fields) if len(fields) > 1 else (
+            lambda record: tuple(getattr(record, name) for name in fields)))
 
     def __eq__(self, other):
         # fields shared by many values, such as a field descriptor, are
@@ -35,13 +42,14 @@ class Record:
         if other is self:
             return True
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __repr__(self):
         return "%s(%s)" % (
             type(self).__name__,
-            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+            ", ".join("%s=%r" % pair for pair in zip(self._fields, self._key(self))),
         )
 
 
@@ -59,7 +67,7 @@ class Frozen(Record):
         raise AttributeError("cannot delete field %r" % name)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __reduce__(self):
-        return type(self), self._key()
+        return type(self), self._key(self)

@@ -11,12 +11,14 @@ variables freely, each tree alone may not.
 
 ``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
 which walks a tree once over raw coefficient maps (see
-:mod:`ropsum.mpoly`) and builds no polynomial object per node.  It is the
-one place that refuses a formula, with ``validate``'s words for any tree
-that ``validate`` flags, so each check that a sum computes its target also
-checks that every summand is read-once; ``sum_evaluate`` names the summand
-it refuses.  The witnesses below expand their formula before their own
-checks, so they refuse a bad formula as ``evaluate`` does
+:mod:`ropsum.mpoly`) and builds no polynomial object per node.  Past the
+nodes' own refusal of a label that is not a ``FieldElem`` and of a leaf
+variable that is not an ``int``, it is the one place that refuses a
+formula, with ``validate``'s words for any tree that ``validate`` flags,
+so each check that a sum computes its target also checks that every
+summand is read-once; ``sum_evaluate`` names the summand it refuses.  The
+witnesses below expand their formula before their own checks, so they
+refuse a bad formula as ``evaluate`` does
 (``three_var_linearizing_restriction`` first refuses more than 3
 variables, whose expansion could reach 2^n terms).
 """
@@ -44,44 +46,33 @@ ADD = "add"
 MUL = "mul"
 
 
+_LABELS = "node labels must be FieldElems, not %s and %s"
+
+
 class Leaf(Frozen):
     __slots__ = _fields = ("var", "alpha", "beta")
 
     def __init__(self, var: int, alpha: FieldElem, beta: FieldElem):
+        if var.__class__ is not int:
+            raise PreconditionViolated("leaf variable must be an int, not %s" % type(var).__name__)
+        if alpha.__class__ is not FieldElem or beta.__class__ is not FieldElem:
+            raise PreconditionViolated(_LABELS % (type(alpha).__name__, type(beta).__name__))
         _set(self, "var", var)
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
-
-    # a tree compares and hashes node by node, so the nodes spell out their
-    # fields rather than go through Frozen's generic key
-    def __eq__(self, other):
-        if other.__class__ is Leaf:
-            return (self.var, self.alpha, self.beta) == (other.var, other.alpha, other.beta)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.var, self.alpha, self.beta))
 
 
 class Gate(Frozen):
     __slots__ = _fields = ("op", "alpha", "beta", "left", "right")
 
     def __init__(self, op: str, alpha: FieldElem, beta: FieldElem, left: "Rof", right: "Rof"):
+        if alpha.__class__ is not FieldElem or beta.__class__ is not FieldElem:
+            raise PreconditionViolated(_LABELS % (type(alpha).__name__, type(beta).__name__))
         _set(self, "op", op)  # ADD or MUL
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
         _set(self, "left", left)
         _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is Gate:
-            return (self.op, self.alpha, self.beta, self.left, self.right) == (
-                other.op, other.alpha, other.beta, other.left, other.right
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.op, self.alpha, self.beta, self.left, self.right))
 
 
 Rof = Union[Leaf, Gate]

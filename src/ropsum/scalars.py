@@ -215,7 +215,8 @@ class FieldElem(Frozen):
     def is_zero(self) -> bool:
         return self.value == 0
 
-    # equal to the int or Fraction it stands for, so not Frozen's equality
+    # equal to the int or Fraction it stands for, so not Frozen's equality;
+    # defining __eq__ drops the inherited hash, so Frozen's is set back
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.elem(other)
@@ -223,8 +224,7 @@ class FieldElem(Frozen):
             return NotImplemented
         return self.field == other.field and self.value == other.value
 
-    def __hash__(self):
-        return hash((self.field, self.value))
+    __hash__ = Frozen.__hash__
 
     def __repr__(self):
         return "FieldElem(%r, %s)" % (self.field, format_scalar(self))

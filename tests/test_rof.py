@@ -310,6 +310,32 @@ def test_evaluate_matches_the_public_operations(field):
     assert refused > 100 and kept > 400
 
 
+def test_a_leaf_refuses_labels_that_are_not_field_elements():
+    for alpha, beta, words in ((0.5, 0, "float and int"), (2, ZERO, "int and FieldElem"),
+                               (ONE, Fraction(1, 2), "FieldElem and Fraction")):
+        with pytest.raises(
+            PreconditionViolated, match="^node labels must be FieldElems, not %s$" % words
+        ):
+            Leaf(1, alpha, beta)
+
+
+def test_a_leaf_refuses_a_variable_that_is_not_an_int():
+    # a bool is an int to isinstance, but x_True is no variable
+    for var, words in ((1.0, "float"), (True, "bool"), ("1", "str")):
+        with pytest.raises(
+            PreconditionViolated, match="^leaf variable must be an int, not %s$" % words
+        ):
+            Leaf(var, ONE, ZERO)
+
+
+def test_a_gate_refuses_labels_that_are_not_field_elements():
+    for alpha, beta, words in ((1, 0, "int and int"), (ONE, None, "FieldElem and NoneType")):
+        with pytest.raises(
+            PreconditionViolated, match="^node labels must be FieldElems, not %s$" % words
+        ):
+            Gate(ADD, alpha, beta, leaf(1), leaf(2))
+
+
 def test_formula_nodes_are_frozen_slotted_values():
     x1 = leaf(1, 2, 3)
     t = gate(MUL, x1, leaf(2))
@@ -506,14 +532,33 @@ def test_parse_errors():
             parse_rof(bad, QQ)
 
 
+def _nodes(t):
+    """Every node of a tree, parents before children."""
+    return [t] + (_nodes(t.left) + _nodes(t.right) if isinstance(t, Gate) else [])
+
+
+def _shift_one_beta(node, target):
+    """The tree with 1 added to the beta label of the node ``target``."""
+    beta = node.beta + 1 if node is target else node.beta
+    if isinstance(node, Leaf):
+        return Leaf(node.var, node.alpha, beta)
+    return Gate(node.op, node.alpha, beta,
+                _shift_one_beta(node.left, target), _shift_one_beta(node.right, target))
+
+
 def test_random_rof_round_trip_and_var_containment():
     rng = random.Random(21)
-    for _ in range(1000):
+    for k in range(1000):
         n = rng.randint(1, 7)
         variables = random_variable_subset(rng, n, rng.randint(1, n))
         t = random_rof(rng, variables, QQ, nonzero_scales=rng.random() < 0.85)
         assert validate(t) == []
-        assert parse_rof(print_rof(t), QQ) == t
+        back = parse_rof(print_rof(t), QQ)
+        # nodes compare and hash by their fields, whatever object holds them
+        for twin in (back, copy.deepcopy(back)):
+            assert twin == t and twin is not t and hash(twin) == hash(t)
+        nodes = _nodes(t)
+        assert _shift_one_beta(t, nodes[k % len(nodes)]) != t
         p = evaluate(t, n)
         assert set(variables_of(p)) <= set(variables)
         assert all(m < (1 << n) for m in p.coeffs)
