@@ -9,10 +9,12 @@ class gets its key once, when it is made: ``operator.attrgetter`` of the
 fields, which reads them all in one call into a tuple.  Equality, the
 hash, the copy and the ``repr`` all read the fields through it, so two
 records are equal when they are of the same class with equal fields.  A
-``Frozen`` record sets its fields once, in ``__init__``, with ``_set``.
-The field descriptors, the scalars, the polynomials, the formulas and
-their sums are all ``Frozen``, so each of them refuses assignment and
-survives ``copy`` and ``pickle``.
+record sets its fields, and any index it derives from them, once, in
+``__init__``, with ``_set``.  Every value the package returns is
+``Frozen``: the field descriptors, the scalars, the polynomials, the
+formulas and their sums, the decisions, and the oracle's packed
+polynomials, classes and closure reports, so each of them refuses
+assignment and survives ``copy`` and ``pickle``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from typing import Tuple
 _set = object.__setattr__
 
 
-class Record:
-    """A mutable record: compared by its fields, and so with no hash."""
+class Frozen:
+    """An immutable record: compared and hashed by its fields, and
+    refusing to assign or delete any attribute with ``AttributeError``.  A
+    copy is rebuilt by calling the class on the fields."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -46,28 +50,20 @@ class Record:
             return key(self) == key(other)
         return NotImplemented
 
+    def __hash__(self):
+        return hash(self._key(self))
+
     def __repr__(self):
         return "%s(%s)" % (
             type(self).__name__,
             ", ".join("%s=%r" % pair for pair in zip(self._fields, self._key(self))),
         )
 
-
-class Frozen(Record):
-    """An immutable record: assigning or deleting any attribute raises
-    ``AttributeError``, and the hash is that of the fields.  A copy is
-    rebuilt by calling the class on the fields."""
-
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __reduce__(self):
         return type(self), self._key(self)

@@ -31,10 +31,8 @@ from .errors import ParseError, PreconditionError, PreconditionViolated
 from .mpoly import MultilinearPoly, _check_var_count, commutator, format_poly, sparse_str
 from .oracle import _check_kmax, closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
-from .rof import RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
+from .rof import _VAR_RE, RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
 from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
-
-_VAR_RE = re.compile(r"^x(\d+)$")
 
 
 def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:

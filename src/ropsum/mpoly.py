@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Frozen, _set
 from .errors import FieldMismatch, IndexOutOfRange, PreconditionViolated
@@ -63,16 +63,6 @@ def _bits(mask: int) -> List[int]:
 def _support(coeffs) -> int:
     """The mask of the variables that occur in a map's monomials."""
     return reduce(or_, coeffs, 0)
-
-
-def _edges(coeffs: Dict[int, object]) -> Set[Tuple[int, int]]:
-    """The pairs (bi, bj), bi < bj, of variables sharing a monomial: since
-    stored coefficients are nonzero, exactly the edges d_i d_j p != 0 of
-    the interaction graph."""
-    edges: Set[Tuple[int, int]] = set()
-    for m in coeffs:
-        edges.update(combinations(_bits(m), 2))
-    return edges
 
 
 class _Poly(Frozen):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ._record import Frozen, Record, _set
+from ._record import Frozen, _set
 from .errors import PreconditionViolated
 from .mpoly import MultilinearPoly
 from .scalars import prime_field
@@ -92,7 +92,7 @@ def unpack(packed: PackedPoly) -> MultilinearPoly:
     return MultilinearPoly._trusted(packed.n, field, coeffs)
 
 
-class RopClass(Record):
+class RopClass(Frozen):
     """The deduplicated set of read-once computable functions over F_p.
 
     ``members`` is sorted on construction, and three indexes are built: the
@@ -104,19 +104,17 @@ class RopClass(Record):
     being the ∂_{n-1}∂_n part.  No index assumes the class is closed."""
 
     _fields = ("p", "n", "members")
+    __slots__ = _fields + ("_member_set", "_half", "_quarter", "_by_hi", "_by_top")
 
     def __init__(self, p: int, n: int, members: Iterable[int]):
-        self.p, self.n = p, n
-        self.members = tuple(sorted(members))  # packed coefficient encodings
-        self._member_set = frozenset(self.members)
-        self._half = half = p ** (1 << (n - 1))
-        self._quarter = quarter = p ** ((1 << n) >> 2)
-        self._by_hi = {
-            hi: tuple(run) for hi, run in groupby(self.members, lambda v: v // half)
-        }
-        self._by_top = {
-            top: tuple(run) for top, run in groupby(self._by_hi, lambda h: h // quarter)
-        }
+        members = tuple(sorted(members))  # packed coefficient encodings
+        half = p ** (1 << (n - 1))
+        quarter = p ** ((1 << n) >> 2)
+        by_hi = {hi: tuple(run) for hi, run in groupby(members, lambda v: v // half)}
+        by_top = {top: tuple(run) for top, run in groupby(by_hi, lambda h: h // quarter)}
+        indexes = (frozenset(members), half, quarter, by_hi, by_top)
+        for name, value in zip(self.__slots__, (p, n, members) + indexes):
+            _set(self, name, value)
 
     def __contains__(self, packed_value: int) -> bool:
         return packed_value in self._member_set
@@ -302,8 +300,8 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-class ClosureReport(Record):
-    _fields = (
+class ClosureReport(Frozen):
+    __slots__ = _fields = (
         "p", "n", "members_checked", "derivative_violations", "restriction_violations"
     )
 
@@ -312,12 +310,12 @@ class ClosureReport(Record):
         p: int,
         n: int,
         members_checked: int,
-        derivative_violations: List[Tuple[int, int]],
-        restriction_violations: List[Tuple[int, int, int]],
+        derivative_violations: Iterable[Tuple[int, int]],
+        restriction_violations: Iterable[Tuple[int, int, int]],
     ):
-        self.p, self.n, self.members_checked = p, n, members_checked
-        self.derivative_violations = derivative_violations
-        self.restriction_violations = restriction_violations
+        values = (p, n, members_checked, tuple(derivative_violations), tuple(restriction_violations))
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     @property
     def ok(self) -> bool:

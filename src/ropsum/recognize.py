@@ -1,19 +1,19 @@
 """Decision procedures for read-once structure.
 
 The centerpiece is ``is_rop``: an exact, witness-producing recognizer for
-read-once polynomials over any supported field.  It recurses on the
-interaction graph (mixed-partial nonvanishing): a disconnected graph
-splits the polynomial additively; a connected one forces a top
-multiplication gate.  One pair test serves both halves of that gate:
-writing f = A + B x_i + C x_j + D x_i x_j, the commutator A*D - B*C of
-x_i and x_j.  The gate's constant shift beta is recovered from an edge
-whose commutator is beta * D (the identity (f - beta) * d_i d_j f =
-d_i f * d_j f), and the factors of f - beta are the blocks of the pairs
+read-once polynomials over any supported field.  Each node reads only
+its lowest variable x_a.  The monomials that meet x_a, grown until they
+stop growing, give its component of the interaction graph (mixed-partial
+nonvanishing); if that is not every variable, the polynomial splits
+additively there.  Otherwise a top multiplication gate is forced, and the
+pairs (a, b) decide it.  One pair test serves both halves of that gate:
+writing f = A + B x_a + C x_b + D x_a x_b, the commutator A*D - B*C of
+x_a and x_b.  The gate's constant shift beta is recovered from a pair
+whose commutator is beta * D (the identity (f - beta) * d_a d_b f =
+d_a f * d_b f), and the factors of f - beta are the blocks of the pairs
 whose commutator is nonzero, each read off as a slice of f's monomials.
-The shift of a top product gate is unique, so the first edge that yields
-one decides the node: one factorization per node, and the edge scan stops
-there.  The additive components and the factorization's blocks come from
-one union-find partition, so a pair already joined is never tested.
+The first pair (a, b) that yields a shift decides the node: one
+factorization per node, and the scan stops there.
 
 On top of that sit the certified decisions for sums of two read-once
 formulas on four variables: the restriction-linearity check (C1'), the
@@ -31,7 +31,7 @@ arithmetic, and takes the commutator from :mod:`ropsum.mpoly`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._record import Frozen, _set
 from .decompose import _bivariate_rof, _chain, _matching, _verified
@@ -41,7 +41,6 @@ from .mpoly import (
     _bits,
     _commutator_raw,
     _disjoint_product,
-    _edges,
     _infer_field,
     _support,
     family4,
@@ -64,28 +63,6 @@ from .scalars import FieldDescriptor, FieldElem, sqrt_in_field
 # ---------------------------------------------------------------------------
 
 
-def _partition(bits: List[int], linked: Callable[[int, int], bool]) -> List[int]:
-    """The connected components of the graph on the ascending variable bits
-    ``bits`` whose edges are the pairs with linked(bi, bj), each as a bit
-    mask, ordered by lowest variable.
-
-    Union-find over the pairs in order: a pair already in one component is
-    not tested, and a linked pair merges its two components.  Skipped
-    pairs lie inside one component, so the components are those of testing
-    every pair.
-    """
-    block = {b: b for b in bits}  # variable bit -> mask of its current block
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            bi, bj = bits[i], bits[j]
-            if block[bi] & bj or not linked(bi, bj):
-                continue
-            merged = block[bi] | block[bj]
-            for b in _bits(merged):
-                block[b] = merged
-    return [block[b] for b in bits if block[b] & -block[b] == b]
-
-
 def _factor_blocks(
     coeffs: Dict[int, object], field: FieldDescriptor
 ) -> List[Dict[int, object]]:
@@ -99,12 +76,20 @@ def _factor_blocks(
     monomial m0 of f with coefficient c0, the monomials of f that agree
     with m0 outside a block B_a, keyed by their part inside B_a, are that
     block's factor F_a times one nonzero constant; the k slices multiply to
-    c0^(k-1) * f, so all but the last are divided by c0.
+    c0^(k-1) * f, so all but the last are divided by c0.  The blocks grow
+    by union-find over the pairs in order, and a pair already in one block
+    is not tested.
     """
-    blocks = _partition(
-        _bits(_support(coeffs)),
-        lambda bi, bj: bool(_commutator_raw(coeffs, bi, bj, field)[0]),
-    )
+    bits = _bits(_support(coeffs))
+    block = {b: b for b in bits}  # variable bit -> mask of its current block
+    for i, bi in enumerate(bits):
+        for bj in bits[i + 1 :]:
+            if block[bi] & bj or not _commutator_raw(coeffs, bi, bj, field)[0]:
+                continue
+            merged = block[bi] | block[bj]
+            for b in _bits(merged):
+                block[b] = merged
+    blocks = [block[b] for b in bits if block[b] & -block[b] == b]
     if len(blocks) == 1:
         return [dict(coeffs)]
 
@@ -142,15 +127,20 @@ def _is_rop_raw(coeffs: Dict[int, object], field: FieldDescriptor) -> Optional[R
         alpha = field.elem(coeffs.get(vmask, 0))
         beta = field.elem(coeffs.get(0, 0))
         return Leaf(vmask.bit_length(), alpha, beta)
-    edges = _edges(coeffs)
-    comps = _partition(_bits(vmask), lambda bi, bj: (bi, bj) in edges)
-    if len(comps) > 1:
-        # each monomial lies in one component; the constant joins the first
-        parts = [{m: c for m, c in coeffs.items() if m & comp} for comp in comps]
-        if 0 in coeffs:
-            parts[0][0] = coeffs[0]
-        return _gate_chain(parts, ADD, field.zero(), field)
-    return _multiplicative_split(coeffs, edges, field)
+    # the component of the lowest variable x_a: OR in every monomial that
+    # meets it until it stops growing
+    a = vmask & -vmask
+    block, grown = 0, a
+    while grown != block:
+        block = grown
+        grown = _support(m for m in coeffs if m & block)
+    if block != vmask:
+        # f = (that component's monomials, and the constant) + (the rest),
+        # and the rest splits again; k components give one ADD chain
+        part = {m: c for m, c in coeffs.items() if m & block or not m}
+        rest = {m: c for m, c in coeffs.items() if m and not m & block}
+        return _gate_chain([part, rest], ADD, field.zero(), field)
+    return _multiplicative_split(coeffs, a, field)
 
 
 def _gate_chain(
@@ -167,25 +157,31 @@ def _gate_chain(
     return _chain(op, witnesses, field.one(), beta)
 
 
-def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
+def _multiplicative_split(coeffs, a, field) -> Optional[Rof]:
     """A top multiplication gate for a polynomial with a connected
-    interaction graph, or None if it has none.
+    interaction graph and lowest variable bit ``a``, or None if it has none.
 
-    The first edge {i, j} that passes the identity
-    (f - beta) * d_i d_j f = d_i f * d_j f decides.  Writing
-    f = A + B x_i + C x_j + D x_i x_j, the identity reads
+    Only the pairs (a, b) are tested, for each x_b that shares a monomial
+    with x_a, b ascending; the first that passes the identity
+    (f - beta) * d_a d_b f = d_a f * d_b f decides.  Writing
+    f = A + B x_a + C x_b + D x_a x_b, the identity reads
     A*D - B*C = beta * D; then f - beta factors into k >= 2
     variable-disjoint blocks, and f is read-once exactly when every block
-    is.  The shift is unique: if f = beta' + P*Q is read-once, some pair
-    x_a, x_b lies across both {Var P, Var Q} and a grouping of the blocks
-    (else one block holds all of Var f), so its commutator is
-    beta * D = beta' * D with D = d_a P * d_b Q != 0.  And a
-    variable-disjoint factor of a read-once polynomial is read-once:
-    restrict its cofactor to a 0/1 point where the cofactor is nonzero.
+    is: a variable-disjoint factor of a read-once polynomial is read-once
+    (restrict its cofactor to a 0/1 point where the cofactor is nonzero).
+
+    These pairs are enough.  If f = alpha * L * R + beta is read-once with
+    x_a in L, every pair (a, b) with x_b in R passes with that beta, since
+    D = alpha * d_a L * d_b R != 0.  And if any pair of f passes, with a
+    shift beta', then f - beta' = P * Q with P and Q variable-disjoint, so
+    every pair (a, b) with x_b on the other side from x_a passes too: when
+    no pair (a, b) passes, no pair of f does.  The pairs (a, b) come first
+    among all pairs i < j in order, so the pair that decides is also the
+    first passing pair of f.
     """
-    for bi, bj in sorted(edges):
-        comm, d = _commutator_raw(coeffs, bi, bj, field)
-        k0 = next(iter(d))  # d is nonzero on an edge
+    for b in _bits(_support(m for m in coeffs if m & a) ^ a):
+        comm, d = _commutator_raw(coeffs, a, b, field)
+        k0 = next(iter(d))  # d is nonzero: x_a and x_b share a monomial
         betahat = field.div(comm.get(k0, 0), d[k0])
         scaled = {k: field.mul(betahat, c) for k, c in d.items()} if betahat else {}
         if comm != scaled:
@@ -195,7 +191,7 @@ def _multiplicative_split(coeffs, edges, field) -> Optional[Rof]:
         if c0:
             shifted[0] = c0
         factors = _factor_blocks(shifted, field)
-        if len(factors) < 2:  # the identity makes f - beta = P*Q, x_i in P, x_j in Q
+        if len(factors) < 2:  # the identity makes f - beta = P*Q, x_a in P, x_b in Q
             raise RopsumError("internal: a passing edge left f - beta unfactored")
         return _gate_chain(factors, MUL, field.elem(betahat), field)
     return None

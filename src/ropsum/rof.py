@@ -12,19 +12,20 @@ variables freely, each tree alone may not.
 ``evaluate`` and ``sum_evaluate`` share one private kernel, ``_expand``,
 which walks a tree once over raw coefficient maps (see
 :mod:`ropsum.mpoly`) and builds no polynomial object per node.  Past the
-nodes' own refusal of a label that is not a ``FieldElem`` and of a leaf
-variable that is not an ``int``, it is the one place that refuses a
-formula, with ``validate``'s words for any tree that ``validate`` flags,
-so each check that a sum computes its target also checks that every
-summand is read-once; ``sum_evaluate`` names the summand it refuses.  The
-witnesses below expand their formula before their own checks, so they
-refuse a bad formula as ``evaluate`` does
+nodes' own refusal of a label that is not a ``FieldElem``, of a leaf
+variable that is not an ``int`` and of a gate child that is not a node,
+it is the one place that refuses a formula, with ``validate``'s words for
+any tree that ``validate`` flags, so each check that a sum computes its
+target also checks that every summand is read-once; ``sum_evaluate``
+names the summand it refuses.  The witnesses below expand their formula
+before their own checks, so they refuse a bad formula as ``evaluate`` does
 (``three_var_linearizing_restriction`` first refuses more than 3
 variables, whose expansion could reach 2^n terms).
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from ._record import Frozen, _set
@@ -47,6 +48,9 @@ MUL = "mul"
 
 
 _LABELS = "node labels must be FieldElems, not %s and %s"
+_CHILDREN = "gate children must be Leaf or Gate nodes, not %s and %s"
+# a variable token, x<i>, in formula and polynomial text alike
+_VAR_RE = re.compile(r"^x(\d+)$")
 
 
 class Leaf(Frozen):
@@ -68,6 +72,10 @@ class Gate(Frozen):
     def __init__(self, op: str, alpha: FieldElem, beta: FieldElem, left: "Rof", right: "Rof"):
         if alpha.__class__ is not FieldElem or beta.__class__ is not FieldElem:
             raise PreconditionViolated(_LABELS % (type(alpha).__name__, type(beta).__name__))
+        if not (left.__class__ is Gate or left.__class__ is Leaf) or not (
+            right.__class__ is Gate or right.__class__ is Leaf
+        ):
+            raise PreconditionViolated(_CHILDREN % (type(left).__name__, type(right).__name__))
         _set(self, "op", op)  # ADD or MUL
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
@@ -400,9 +408,10 @@ def _parse_node(ts: _TokenStream, field: FieldDescriptor) -> Rof:
             open_gates.append((head, alpha, beta, []))
             continue
         var_tok = ts.next()
-        if not var_tok.startswith("x") or not var_tok[1:].isdigit():
+        m = _VAR_RE.match(var_tok)
+        if m is None:
             raise ParseError("expected a variable like x1, got %r" % var_tok, ts.pos - 1)
-        var = int_literal(var_tok[1:])
+        var = int_literal(m.group(1))
         if var < 1:
             raise ParseError("variable index must be >= 1", ts.pos - 1)
         ts.expect(")")

@@ -16,6 +16,7 @@ from ropsum import (
     prime_field,
 )
 from ropsum import oracle
+from ropsum._record import _set
 from ropsum.decompose import generic, pair_monomials, sympoly4, symmetric_halves
 from ropsum.oracle import (
     PackedPoly,
@@ -194,18 +195,36 @@ def test_packed_polys_and_classes_are_values():
     for value in (-1, 3 ** 4):
         with pytest.raises(PreconditionViolated, match="^packed value outside its digit range$"):
             PackedPoly(3, 2, value)
-    # a class sorts its members and keeps its indexes; it is compared by
-    # its fields and, being built in place, has no hash
+    # a class sorts its members and keeps its indexes; it is compared and
+    # hashed by its fields
     cls = RopClass(2, 1, [3, 1, 2])
     assert cls.members == (1, 2, 3) and 2 in cls and 0 not in cls and len(cls) == 3
     assert cls == RopClass(2, 1, (2, 3, 1)) and cls != RopClass(2, 1, (1, 2))
     assert repr(cls) == "RopClass(p=2, n=1, members=(1, 2, 3))"
-    with pytest.raises(TypeError):
-        hash(cls)
+    assert hash(cls) == hash(RopClass(2, 1, (2, 3, 1)))
     assert repr(closure_report(RopClass(2, 1, (0, 1, 2, 3)))) == (
-        "ClosureReport(p=2, n=1, members_checked=4, derivative_violations=[], "
-        "restriction_violations=[])"
+        "ClosureReport(p=2, n=1, members_checked=4, derivative_violations=(), "
+        "restriction_violations=())"
     )
+
+
+def test_classes_and_closure_reports_are_frozen_values():
+    # a class answers from indexes built from its members, so assigning a
+    # field would leave them stale; copies rebuild them
+    cls = enumerate_rops(2, 4)
+    report = closure_report(RopClass(2, 2, (8,)))
+    for value, name in ((cls, "members"), (cls, "_member_set"), (report, "derivative_violations")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    targets = [PackedPoly(2, 4, v) for v in random.Random(57).sample(range(1 << 16), 300)]
+    answers = [min_k(t, cls) for t in targets]
+    assert {1, 2, 3} <= set(answers)
+    for copied in (copy.deepcopy(cls), pickle.loads(pickle.dumps(cls))):
+        assert copied == cls and hash(copied) == hash(cls) and len(copied) == len(cls)
+        assert [min_k(t, copied) for t in targets] == answers
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
 
 
 def test_closure_of_empty_class_is_vacuous():
@@ -219,8 +238,8 @@ def test_closure_report_lists_every_violation_of_an_unclosed_class():
     x1x2 = pack(MultilinearPoly(2, F2, {0b11: 1})).value
     rep = closure_report(RopClass(2, 2, (x1x2,)))
     assert not rep.ok and rep.members_checked == 1
-    assert rep.derivative_violations == [(8, 1), (8, 2)]
-    assert rep.restriction_violations == [(8, 1, 0), (8, 1, 1), (8, 2, 0), (8, 2, 1)]
+    assert rep.derivative_violations == ((8, 1), (8, 2))
+    assert rep.restriction_violations == ((8, 1, 0), (8, 1, 1), (8, 2, 0), (8, 2, 1))
 
 
 # -- sumset queries against a full-scan reference ------------------------------
@@ -362,7 +381,7 @@ class _CountingSet:
 def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
     cls = classes(2, 5)
     counting = _CountingSet(cls._member_set)
-    cls._member_set = counting
+    _set(cls, "_member_set", counting)
     rng = random.Random(52)
     negatives = 0
     try:
@@ -372,7 +391,7 @@ def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
                 negatives += 1
                 assert counting.probes <= len(cls) // 10
     finally:
-        cls._member_set = counting.inner
+        _set(cls, "_member_set", counting.inner)
     assert negatives >= 20
 
 

@@ -18,7 +18,7 @@ from ropsum import (
     prime_field,
 )
 from ropsum import recognize
-from ropsum.mpoly import _commutator_raw, _edges
+from ropsum.mpoly import _commutator_raw
 from ropsum.oracle import enumerate_rops, min_k, pack
 from ropsum.recognize import (
     check_c1prime,
@@ -27,7 +27,7 @@ from ropsum.recognize import (
     is_rop,
     sum2_refute,
 )
-from ropsum.rof import ADD, MUL, Gate, evaluate, print_rof, validate, verify_against
+from ropsum.rof import ADD, MUL, Gate, evaluate, leaf_vars, print_rof, validate, verify_against
 
 from helpers import random_poly, random_rof, random_scalar, random_variable_subset, variables_of
 
@@ -39,27 +39,45 @@ def P(n, terms, field=QQ):
     return MultilinearPoly(n, field, terms)
 
 
-# -- interaction graph -------------------------------------------------------
+# -- additive split ---------------------------------------------------------
 
 
-def _graph(p):
-    """mpoly._edges of p as variable index pairs, each checked to be an edge
-    d_i d_j p != 0 of the interaction graph."""
-    graph = {(bi.bit_length(), bj.bit_length()) for bi, bj in _edges(p.coeffs)}
-    assert all(not p.partial(i).partial(j).is_zero() for i, j in graph)
-    return graph
+def _components(p):
+    """The connected components of the graph d_i d_j p != 0 on p's
+    variables, each as a sorted list, ordered by lowest variable."""
+    comp = {i: {i} for i in variables_of(p)}
+    for i, j in combinations(variables_of(p), 2):
+        if comp[i] is not comp[j] and not p.partial(i).partial(j).is_zero():
+            merged = comp[i] | comp[j]
+            for v in merged:
+                comp[v] = merged
+    return sorted({tuple(sorted(c)) for c in comp.values()})
 
 
-def test_interaction_graph_linear_is_empty():
-    assert _graph(P(3, {0b001: 1, 0b010: 1, 0b100: 1})) == set()
-
-
-def test_interaction_graph_path():
-    assert _graph(P(3, {0b011: 1, 0b110: 1})) == {(1, 2), (2, 3)}
-
-
-def test_interaction_graph_complete_on_family():
-    assert _graph(family4(1, 1, 1)) == set(combinations(range(1, 5), 2))
+def test_is_rop_sums_one_summand_per_component_in_order_of_lowest_variable():
+    # sums of planted ROPs on disjoint variable blocks, plus a constant:
+    # the witness's top ADD chain has one summand per component
+    rng = random.Random(2828)
+    most = 0
+    for field in (QQ, F2, prime_field(3), prime_field(101)):
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            used = rng.sample(range(1, n + 1), rng.randint(1, n))
+            cuts = sorted(rng.sample(range(1, len(used)), rng.randint(0, len(used) - 1)))
+            p = MultilinearPoly.constant(n, field, random_scalar(rng, field))
+            for a, b in zip([0] + cuts, cuts + [len(used)]):
+                p = p + evaluate(random_rof(rng, sorted(used[a:b]), field), n)
+            w = is_rop(p)
+            summands = []
+            while isinstance(w, Gate) and w.op == ADD:
+                assert w.alpha == field.one() and w.beta.is_zero()
+                summands.append(w.left)
+                w = w.right
+            summands.append(w)
+            components = _components(p)
+            assert [tuple(sorted(leaf_vars(s))) for s in summands] == components
+            most = max(most, len(components))
+    assert most >= 4
 
 
 # -- disjoint factorization --------------------------------------------------
@@ -245,26 +263,30 @@ def test_is_rop_work_on_certified_non_rop(monkeypatch):
 
 def test_is_rop_decides_a_node_at_its_first_passing_edge(monkeypatch):
     # the shift of a top product gate is unique, so a multiplicative node
-    # factors f - beta once, at the first edge that passes the identity, and
-    # scans no edge after it
+    # factors f - beta once, at the first pair that passes the identity, and
+    # tests no pair after it; every pair it tests holds its lowest variable
     p = _certified_non_rop()
-    frames = []  # per _multiplicative_split call: [factorizations, edges scanned after one]
-    stack, factoring = [], [0]
+    frames = []  # per _multiplicative_split call: [factorizations, pairs tested after one]
+    stack, factoring, pairs = [], [0], []
     real_split = recognize._multiplicative_split
     real_factor_blocks = recognize._factor_blocks
     real_commutator = recognize._commutator_raw
 
-    def split(coeffs, edges, field):
-        stack.append([0, 0])
+    def split(coeffs, a, field):
+        vmask = reduce(or_, coeffs)
+        assert a == vmask & -vmask
+        stack.append([0, 0, a])
         frames.append(stack[-1])
         try:
-            return real_split(coeffs, edges, field)
+            return real_split(coeffs, a, field)
         finally:
             stack.pop()
 
     def commutator(coeffs, bi, bj, field):
-        if not factoring[0] and stack[-1][0]:  # an edge test, not a block test
-            stack[-1][1] += 1
+        if not factoring[0]:  # a pair test of the node, not a block test
+            pairs.append((stack[-1][2], bi, bj))
+            if stack[-1][0]:
+                stack[-1][1] += 1
         return real_commutator(coeffs, bi, bj, field)
 
     def factor_blocks(coeffs, field):
@@ -279,9 +301,10 @@ def test_is_rop_decides_a_node_at_its_first_passing_edge(monkeypatch):
     monkeypatch.setattr(recognize, "_commutator_raw", commutator)
     monkeypatch.setattr(recognize, "_factor_blocks", factor_blocks)
     assert is_rop(p) is None
-    assert any(factorizations for factorizations, _ in frames)
-    assert all(factorizations <= 1 for factorizations, _ in frames)
-    assert [late for _, late in frames if late] == []
+    assert any(factorizations for factorizations, _, _ in frames)
+    assert all(factorizations <= 1 for factorizations, _, _ in frames)
+    assert [late for _, late, _ in frames if late] == []
+    assert pairs and all(bi == a < bj for a, bi, bj in pairs)
 
 
 def test_is_rop_refuses_an_unfactored_passing_edge(monkeypatch):

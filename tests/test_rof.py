@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ropsum import (
     family4,
     prime_field,
 )
+from ropsum.cli import parse_poly_text
 from ropsum.rof import (
     ADD,
     MUL,
@@ -336,6 +338,19 @@ def test_a_gate_refuses_labels_that_are_not_field_elements():
             Gate(ADD, alpha, beta, leaf(1), leaf(2))
 
 
+def test_a_gate_refuses_children_that_are_not_nodes():
+    poly = MultilinearPoly.variable(2, QQ, 1)
+    for left, right, words in (
+        (leaf(1), 2, "Leaf and int"),
+        (None, leaf(2), "NoneType and Leaf"),
+        (gate(ADD, leaf(1), leaf(2)), poly, "Gate and MultilinearPoly"),
+    ):
+        with pytest.raises(
+            PreconditionViolated, match="^gate children must be Leaf or Gate nodes, not %s$" % words
+        ):
+            Gate(ADD, ONE, ZERO, left, right)
+
+
 def test_formula_nodes_are_frozen_slotted_values():
     x1 = leaf(1, 2, 3)
     t = gate(MUL, x1, leaf(2))
@@ -530,6 +545,20 @@ def test_parse_errors():
     ]:
         with pytest.raises(ParseError):
             parse_rof(bad, QQ)
+
+
+def test_a_leaf_variable_is_the_token_that_polynomial_text_reads():
+    # x followed by digits that str.isdigit accepts but a decimal literal
+    # does not (a superscript, a circled digit, a subscript) is no variable
+    for token in ("x\u00b2", "x\u2460", "x\u2083", "x1.5", "xx1"):
+        words = "^expected a variable like x1, got " + re.escape(repr(token))
+        with pytest.raises(ParseError, match=words):
+            parse_rof("(leaf (1 0) %s)" % token, QQ)
+        with pytest.raises(ParseError):
+            parse_poly_text(token, QQ)
+    for token, var in (("x7", 7), ("x007", 7)):
+        assert parse_rof("(leaf (1 0) %s)" % token, QQ) == leaf(var)
+        assert parse_poly_text(token, QQ) == MultilinearPoly.variable(var, QQ, var)
 
 
 def _nodes(t):
