@@ -35,10 +35,8 @@ class Frozen:
     _fields: Tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        fields = cls._fields
-        # attrgetter of one name returns the bare value, not a tuple
-        cls._key = staticmethod(attrgetter(*fields) if len(fields) > 1 else (
-            lambda record: tuple(getattr(record, name) for name in fields)))
+        # every record has two fields or more, so the getter returns a tuple
+        cls._key = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other):
         # fields shared by many values, such as a field descriptor, are

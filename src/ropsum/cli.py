@@ -9,9 +9,17 @@ Commands operate on two textual grammars:
 * formula s-expressions -- the read-once tree grammar of
   :func:`ropsum.rof.parse_rof`.
 
-Scalars are exact: integers, ``p/q`` rationals, or ``k mod p``.  Decisions
-are reported as JSON on stdout, never through the exit status; exit code 2
-means a parse error and 3 a violated precondition.
+Scalars are exact: integers, ``p/q`` rationals, or ``k mod p``.  Every
+integer the program reads as text -- in a scalar, a variable index,
+``--field fp:P``, ``--var``, ``--vars``, ``--n``, ``--kmax`` or the ``n`` of
+``symmetric:n,a,b`` -- is read by :func:`ropsum.scalars.int_literal`, which
+takes ASCII ``[+-]?[0-9]+`` and nothing else; comma lists (``--vars``,
+``--family``, ``symmetric:``, ``sympoly4:``) are split by one rule that
+checks their length.
+
+Each command returns its answer, text or a JSON object, and :func:`main`
+prints it.  Decisions are reported as JSON on stdout, never through the exit
+status; exit code 2 means a parse error and 3 a violated precondition.
 
 Polynomial and formula arguments may be given inline or as a path to a
 file holding the same text (the file wins if it exists).
@@ -58,7 +66,7 @@ def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
         coeff = field.elem(1 if sign == "+" else -1)
         mask = 0
         for idx, factor in enumerate(factors):
-            m = _VAR_RE.match(factor)
+            m = _VAR_RE.fullmatch(factor)
             if m:
                 var = int_literal(m.group(1))
                 if var < 1:
@@ -85,11 +93,7 @@ def _parse_field(spec: str) -> FieldDescriptor:
     if spec == "q":
         return QQ
     if spec.startswith("fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise ParseError("bad field spec %r" % spec) from None
-        return prime_field(p)
+        return prime_field(int_literal(spec[3:]))
     raise ParseError("field must be 'q' or 'fp:<prime>', got %r" % spec)
 
 
@@ -121,59 +125,42 @@ def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
     return RopSum(field, max(n, high), summands)
 
 
-def _scalars_csv(text: str, field: FieldDescriptor, count: int) -> List:
+def _csv(text: str, what: str, shape: str) -> List[str]:
+    """``text`` split at its commas into the fields ``shape`` names."""
     parts = text.split(",")
-    if len(parts) != count:
-        raise ParseError("expected %d comma-separated scalars in %r" % (count, text))
-    return [parse_scalar(p, field) for p in parts]
+    if len(parts) != shape.count(",") + 1:
+        raise ParseError("%s needs %s, got %r" % (what, shape, text))
+    return parts
 
 
-def _emit(obj) -> int:
-    print(json.dumps(obj))
-    return 0
+def _cmd_parse(args, field) -> str:
+    return format_poly(parse_poly_text(_read_arg(args.poly), field))
 
 
-def _cmd_parse(args, field) -> int:
+def _cmd_eval(args, field) -> str:
+    return format_poly(evaluate(parse_rof(_read_arg(args.rof), field)))
+
+
+def _cmd_diff(args, field) -> str:
     poly = parse_poly_text(_read_arg(args.poly), field)
-    print(format_poly(poly))
-    return 0
+    return format_poly(poly.partial(args.var))
 
 
-def _cmd_eval(args, field) -> int:
-    rof = parse_rof(_read_arg(args.rof), field)
-    print(format_poly(evaluate(rof)))
-    return 0
-
-
-def _cmd_diff(args, field) -> int:
+def _cmd_commutator(args, field) -> str:
+    i, j = map(int_literal, _csv(args.vars, "--vars", "i,j"))
     poly = parse_poly_text(_read_arg(args.poly), field)
-    print(format_poly(poly.partial(args.var)))
-    return 0
+    return sparse_str(commutator(poly, i, j))
 
 
-def _cmd_commutator(args, field) -> int:
-    try:
-        i_s, j_s = args.vars.split(",")
-        i, j = int(i_s), int(j_s)
-    except ValueError:
-        raise ParseError("--vars needs two comma-separated indices") from None
-    poly = parse_poly_text(_read_arg(args.poly), field)
-    print(sparse_str(commutator(poly, i, j)))
-    return 0
+def _cmd_is_rop(args, field) -> dict:
+    witness = is_rop(parse_poly_text(_read_arg(args.poly), field))
+    return {
+        "is_rop": witness is not None,
+        "witness": None if witness is None else print_rof(witness),
+    }
 
 
-def _cmd_is_rop(args, field) -> int:
-    poly = parse_poly_text(_read_arg(args.poly), field)
-    witness = is_rop(poly)
-    return _emit(
-        {
-            "is_rop": witness is not None,
-            "witness": None if witness is None else print_rof(witness),
-        }
-    )
-
-
-def _cmd_decompose(args, field) -> int:
+def _cmd_decompose(args, field) -> dict:
     spec = args.strategy
     if spec == "pairing" or spec == "generic":
         if args.poly is None:
@@ -187,42 +174,35 @@ def _cmd_decompose(args, field) -> int:
     elif args.poly is not None:  # before it is read
         raise ParseError("strategy %r takes no polynomial argument" % spec)
     elif spec.startswith("symmetric:"):
-        parts = spec[len("symmetric:") :].split(",")
-        if len(parts) != 3:
-            raise ParseError("symmetric strategy needs n,alpha,beta")
-        try:
-            n = int(parts[0])
-        except ValueError:
-            raise ParseError("symmetric strategy needs an integer n") from None
-        alpha = parse_scalar(parts[1], field)
-        beta = parse_scalar(parts[2], field)
-        result = symmetric_halves(n, alpha, beta, field)
+        n, alpha, beta = _csv(spec[len("symmetric:") :], "symmetric strategy", "n,alpha,beta")
+        result = symmetric_halves(
+            int_literal(n), parse_scalar(alpha, field), parse_scalar(beta, field), field
+        )
     else:
-        coeffs = _scalars_csv(spec[len("sympoly4:") :], field, 5)
-        result = sympoly4(*coeffs, field=field)
+        coeffs = _csv(spec[len("sympoly4:") :], "sympoly4 strategy", "a0,a1,a2,a3,a4")
+        result = sympoly4(*(parse_scalar(c, field) for c in coeffs), field=field)
     # every strategy re-verifies internally before returning
-    return _emit(
-        {
-            "rofs": [print_rof(r) for r in result.summands],
-            "count": len(result.summands),
-            "verified": True,
-        }
-    )
+    return {
+        "rofs": [print_rof(r) for r in result.summands],
+        "count": len(result.summands),
+        "verified": True,
+    }
 
 
-def _cmd_check2rop(args, field) -> int:
-    a, b, c = _scalars_csv(args.family, field, 3)
-    return _emit(family4_decide(a, b, c, field).to_json_dict())
+def _cmd_check2rop(args, field) -> dict:
+    family = _csv(args.family, "--family", "alpha,beta,gamma")
+    a, b, c = (parse_scalar(w, field) for w in family)
+    return family4_decide(a, b, c, field).to_json_dict()
 
 
-def _cmd_refute2(args, field) -> int:
+def _cmd_refute2(args, field) -> dict:
     poly = parse_poly_text(_read_arg(args.poly), field)
     if poly.n < 4:
         poly = poly.with_n(4)
-    return _emit(sum2_refute(poly).to_json_dict())
+    return sum2_refute(poly).to_json_dict()
 
 
-def _cmd_oracle(args, field) -> int:
+def _cmd_oracle(args, field) -> dict:
     if field.kind != "prime":  # before the target is parsed in that field
         raise PreconditionViolated("the oracle needs a prime field, --field fp:<p>")
     if args.kmax is not None:  # before any enumeration
@@ -235,24 +215,22 @@ def _cmd_oracle(args, field) -> int:
     cls = enumerate_rops(field.p, args.n)
     if target is not None:  # fitted to the class before packing p^(2^n) digits
         bound = {} if args.kmax is None else {"kmax": args.kmax}
-        return _emit({"min_k": min_k(pack(target.with_n(cls.n)), cls, **bound)})
+        return {"min_k": min_k(pack(target.with_n(cls.n)), cls, **bound)}
     if args.closure_report:
         rep = closure_report(cls)
-        return _emit(
-            {
-                "ok": rep.ok,
-                "members": rep.members_checked,
-                "derivative_violations": len(rep.derivative_violations),
-                "restriction_violations": len(rep.restriction_violations),
-            }
-        )
-    return _emit({"members": len(cls)})
+        return {
+            "ok": rep.ok,
+            "members": rep.members_checked,
+            "derivative_violations": len(rep.derivative_violations),
+            "restriction_violations": len(rep.restriction_violations),
+        }
+    return {"members": len(cls)}
 
 
-def _cmd_verify(args, field) -> int:
+def _cmd_verify(args, field) -> dict:
     target = parse_poly_text(_read_arg(args.target), field)
     ropsum = _parse_rofsum_text(_read_arg(args.rofsum), field, target.n)
-    return _emit({"equal": verify_against(ropsum, target)})
+    return {"equal": verify_against(ropsum, target)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rof")
 
     p = add("diff", _cmd_diff, help="partial derivative")
-    p.add_argument("--var", type=int, required=True)
+    p.add_argument("--var", required=True)
     p.add_argument("poly")
 
     p = add("commutator", _cmd_commutator, help="pairwise commutator")
@@ -304,11 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
 
     p = add("oracle", _cmd_oracle, help="exhaustive finite-field queries")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     query = p.add_mutually_exclusive_group()
     query.add_argument("--min-k", dest="min_k", default=None, help="target polynomial")
     query.add_argument("--closure-report", action="store_true")
-    p.add_argument("--kmax", type=int, help="with --min-k; default 3")
+    p.add_argument("--kmax", help="with --min-k; default 3")
 
     p = add("verify", _cmd_verify, help="check a sum of formulas against a target")
     p.add_argument("--target", required=True)
@@ -317,22 +295,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the integer options, read before --field, so that a malformed one exits 2
+# whatever the field
+_INT_OPTIONS = ("var", "n", "kmax")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    field = None
     try:
-        field = _parse_field(args.field)
-        return args.fn(args, field)
+        for name in _INT_OPTIONS:
+            if getattr(args, name, None) is not None:
+                setattr(args, name, int_literal(getattr(args, name)))
+        answer = args.fn(args, _parse_field(args.field))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3
+    print(answer if isinstance(answer, str) else json.dumps(answer))
+    return 0
 
 
 if __name__ == "__main__":

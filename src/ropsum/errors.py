@@ -10,13 +10,13 @@ class RopsumError(Exception):
 
 
 class ParseError(RopsumError):
-    """Malformed textual input; carries the offending position when known."""
+    """Malformed textual input; the message gives the offending token's
+    position when known."""
 
     def __init__(self, message, position=None):
         if position is not None:
             message = "%s (at position %d)" % (message, position)
         super().__init__(message)
-        self.position = position
 
 
 class PreconditionError(RopsumError):

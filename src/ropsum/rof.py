@@ -49,8 +49,9 @@ MUL = "mul"
 
 _LABELS = "node labels must be FieldElems, not %s and %s"
 _CHILDREN = "gate children must be Leaf or Gate nodes, not %s and %s"
-# a variable token, x<i>, in formula and polynomial text alike
-_VAR_RE = re.compile(r"^x(\d+)$")
+# a variable token, x<i>, in formula and polynomial text alike; its digits
+# are ASCII, as in scalars.int_literal, and it is matched whole
+_VAR_RE = re.compile(r"x([0-9]+)")
 
 
 class Leaf(Frozen):
@@ -408,7 +409,7 @@ def _parse_node(ts: _TokenStream, field: FieldDescriptor) -> Rof:
             open_gates.append((head, alpha, beta, []))
             continue
         var_tok = ts.next()
-        m = _VAR_RE.match(var_tok)
+        m = _VAR_RE.fullmatch(var_tok)
         if m is None:
             raise ParseError("expected a variable like x1, got %r" % var_tok, ts.pos - 1)
         var = int_literal(m.group(1))

@@ -283,24 +283,30 @@ def sqrt_in_field(x: FieldElem) -> Optional[FieldElem]:
     return FieldElem(field, min(r, p - r))
 
 
-_MOD_RE = re.compile(r"^([+-]?\d+)\s+mod\s+(\d+)$")
-_RAT_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+# The one integer rule for text: ASCII digits, matched whole (``\d`` and
+# ``int`` also take other scripts' digits, ``int`` also ``_`` and spaces,
+# and ``$`` matches before a trailing newline).
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)\s*/\s*([0-9]+)")
+_MOD_RE = re.compile(r"([+-]?[0-9]+)\s+mod\s+([0-9]+)")
 
 
-def int_literal(digits: str) -> int:
-    """``int(digits)``, with a literal past the interpreter's limit on
-    decimal digits (4,300 by default) refused as a parse error."""
+def int_literal(text: str) -> int:
+    """The integer ``text`` spells as ``[+-]?[0-9]+``; anything else, or a
+    literal past the interpreter's limit on decimal digits (4,300 by
+    default), is a parse error."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ParseError("expected an integer, got %r" % text)
     try:
-        return int(digits)
+        return int(text)
     except ValueError:
-        raise ParseError("integer literal of %d characters is too long" % len(digits)) from None
+        raise ParseError("integer literal of %d characters is too long" % len(text)) from None
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> FieldElem:
     """Parse ``k``, ``p/q`` or ``k mod p`` in the context of ``field``."""
     s = text.strip()
-    m = _MOD_RE.match(s)
+    m = _MOD_RE.fullmatch(s)
     if m:
         if field.kind != "prime":
             raise ParseError("'mod' scalar %r in a rational context" % s)
@@ -309,13 +315,13 @@ def parse_scalar(text: str, field: FieldDescriptor) -> FieldElem:
                 "scalar %r has modulus %s, field is F_%d" % (s, m.group(2), field.p)
             )
         return field.elem(int_literal(m.group(1)))
-    m = _RAT_RE.match(s)
+    m = _RAT_RE.fullmatch(s)
     if m:
         num, den = int_literal(m.group(1)), int_literal(m.group(2))
         if den == 0:
             raise ParseError("zero denominator in %r" % s)
         return field.elem(Fraction(num, den))
-    if _INT_RE.match(s):
+    if _INT_RE.fullmatch(s):
         return field.elem(int_literal(s))
     raise ParseError("cannot parse scalar %r" % text)
 

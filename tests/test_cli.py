@@ -462,7 +462,7 @@ def test_exit_code_symmetric_strategy_bad_n(capsys):
 
 def test_exit_code_field_modulus_not_an_integer(capsys):
     code, out, err = run(capsys, "parse", "--field", "fp:abc", "x1")
-    assert code == 2 and out == "" and "bad field spec 'fp:abc'" in err
+    assert code == 2 and out == "" and "expected an integer, got 'abc'" in err
 
 
 def test_oracle_min_k_target_is_parsed_before_the_class(capsys):
@@ -499,3 +499,66 @@ LONG_LITERAL = "9" * 5000  # past the interpreter's 4,300-digit limit on int()
 def test_exit_code_long_integer_literal(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "integer literal of 5000 characters" in err
+
+
+# Every place the program reads an integer as text, with "{}" where 3 goes,
+# and what the command prints with 3 spelled in ASCII.
+SYMMETRIC_3 = json.dumps(
+    {
+        "rofs": [
+            "(mul (1 0) (add (1 0) (leaf (1 0) x1) (leaf (1 0) x2)) (leaf (1 0) x3))",
+            "(mul (1 0) (mul (1 0) (leaf (1 0) x1) (leaf (1 0) x2)) (leaf (0 1) x3))",
+        ],
+        "count": 2,
+        "verified": True,
+    }
+)
+INTEGER_ENTRY_POINTS = {
+    "poly-scalar": (("parse", "{}*x1"), "3*x1"),
+    "poly-variable": (("parse", "x{} + x1"), "x1 + x3"),
+    "rof-scalar": (("eval", "(leaf ({} 0) x1)"), "3*x1"),
+    "rof-variable": (("eval", "(leaf (1 0) x{})"), "x3"),
+    "field": (("parse", "--field", "fp:{}", "4*x1"), "x1"),
+    "var": (("diff", "--var", "{}", "x1*x3 + x2"), "x1"),
+    "vars": (("commutator", "--vars", "1,{}", "x1*x3 + x2"), "x2"),
+    "n": (("oracle", "--field", "fp:2", "--n", "{}"), '{"members": 152}'),
+    "kmax": (
+        ("oracle", "--field", "fp:2", "--n", "2", "--kmax", "{}", "--min-k", "x1*x2 + x1"),
+        '{"min_k": 1}',
+    ),
+    "symmetric-n": (("decompose", "--strategy", "symmetric:{},0,1"), SYMMETRIC_3),
+}
+# the options, where an integer may not be padded with spaces as a scalar may
+OPTION_ENTRY_POINTS = ("field", "var", "vars", "n", "kmax", "symmetric-n")
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_every_integer_is_ascii_digits(capsys, entry):
+    template, shown = INTEGER_ENTRY_POINTS[entry]
+    code, out, _ = run(capsys, *(arg.format("3") for arg in template))
+    assert code == 0 and out == shown
+    # Arabic-Indic and fullwidth digits, a digit separator, and spaces
+    spellings = ["٣", "３", "1_3"]
+    if entry in OPTION_ENTRY_POINTS:
+        spellings += [" 3", "3 "]
+    for spelling in spellings:
+        code, out, err = run(capsys, *(arg.format(spelling) for arg in template))
+        assert (code, out) == (2, ""), spelling
+        assert "parse error" in err
+
+
+def test_ascii_integers_read_as_before(capsys):
+    for argv, shown in (
+        (("parse", "x007 + 1"), "1 + x7"),
+        (("parse", "x2 - 3/4*x1"), "-3/4*x1 + x2"),
+        (("parse", "--field", "fp:7", "3 mod 7*x1 + x007"), "3*x1 + x7"),
+        (("eval", "--field", "fp:7", "(leaf (-3/4 3 mod 7) x007)"), "3 + x7"),
+        (("parse", "--field", "fp:+7", "8*x1"), "x1"),
+        (("diff", "--var", "+1", "x1*x2"), "x2"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, shown), argv
+    code, out, err = run(capsys, "parse", "--field", "fp: 7", "x1")
+    assert (code, out) == (2, "") and "expected an integer, got ' 7'" in err
+    code, out, err = run(capsys, "oracle", "--field", "fp:2", "--n", "-1")
+    assert (code, out) == (3, "") and "precondition violated" in err

@@ -18,7 +18,7 @@ from ropsum import (
     prime_field,
 )
 from ropsum import recognize
-from ropsum.mpoly import _commutator_raw
+from ropsum.mpoly import _bits, _commutator_raw
 from ropsum.oracle import enumerate_rops, min_k, pack
 from ropsum.recognize import (
     check_c1prime,
@@ -210,6 +210,13 @@ def test_factor_blocks_match_all_pairs_components(field):
         factors = _factors(p)
         blocks = [f.var_mask() for f in factors]
         assert blocks == _all_pairs_blocks(p)
+        # the linked pairs form a clique on each block: if A*D = B*C for
+        # x_i, x_j, then f = (a' + b' x_i)(g + c x_j), and multilinearity
+        # makes those two factors variable-disjoint, so x_i and x_j lie in
+        # different blocks
+        for block in blocks:
+            for bi, bj in combinations(_bits(block), 2):
+                assert _commutator_raw(p.coeffs, bi, bj, field)[0]
         if trial % 3 == 1:
             assert blocks == sorted(1 << (v - 1) for v in variables)
 
