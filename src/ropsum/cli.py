@@ -13,9 +13,11 @@ Scalars are exact: integers, ``p/q`` rationals, or ``k mod p``.  Every
 integer the program reads as text -- in a scalar, a variable index,
 ``--field fp:P``, ``--var``, ``--vars``, ``--n``, ``--kmax`` or the ``n`` of
 ``symmetric:n,a,b`` -- is read by :func:`ropsum.scalars.int_literal`, which
-takes ASCII ``[+-]?[0-9]+`` and nothing else; comma lists (``--vars``,
-``--family``, ``symmetric:``, ``sympoly4:``) are split by one rule that
-checks their length.
+takes ASCII ``[+-]?[0-9]+`` and nothing else, and a malformed ``--var``,
+``--n`` or ``--kmax`` is refused under the option's name; comma lists
+(``--vars``, ``--family``, ``symmetric:``, ``sympoly4:``) are split by one
+rule that checks their length.  Wherever a grammar takes whitespace, it
+takes ASCII whitespace alone, ``scalars._SPACE``.
 
 Each command returns its answer, text or a JSON object, and :func:`main`
 prints it.  Decisions are reported as JSON on stdout, never through the exit
@@ -40,12 +42,12 @@ from .mpoly import MultilinearPoly, _check_var_count, commutator, format_poly, s
 from .oracle import _check_kmax, closure_report, enumerate_rops, min_k, pack
 from .recognize import family4_decide, is_rop, sum2_refute
 from .rof import _VAR_RE, RopSum, evaluate, leaf_vars, parse_rof, print_rof, verify_against
-from .scalars import QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
+from .scalars import _SPACE, QQ, FieldDescriptor, int_literal, parse_scalar, prime_field
 
 
 def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
     """Parse polynomial text over x1..xn, n the highest variable used."""
-    s = text.strip()
+    s = text.strip(_SPACE)
     if not s:
         raise ParseError("empty polynomial text")
 
@@ -57,10 +59,10 @@ def parse_poly_text(text: str, field: FieldDescriptor) -> MultilinearPoly:
     terms: Dict[int, object] = {}
     max_var = 0
     for sign, chunk in zip(parts[::2], parts[1::2]):
-        chunk = chunk.strip()
+        chunk = chunk.strip(_SPACE)
         if not chunk:
             raise ParseError("empty term in %r" % text)
-        factors = [f.strip() for f in chunk.split("*")]
+        factors = [f.strip(_SPACE) for f in chunk.split("*")]
         if any(f == "" for f in factors):
             raise ParseError("empty factor in term %r" % chunk)
         coeff = field.elem(1 if sign == "+" else -1)
@@ -110,7 +112,7 @@ def _read_arg(text: str) -> str:
 
 
 def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
-    stripped = text.strip()
+    stripped = text.strip(_SPACE)
     if stripped.startswith("["):
         try:
             entries = json.loads(stripped)
@@ -119,7 +121,8 @@ def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
         if not all(isinstance(e, str) for e in entries):
             raise ParseError("a JSON sum of formulas must be an array of strings")
     else:
-        entries = [line for line in stripped.splitlines() if line.strip()]
+        # the ASCII line breaks of str.splitlines
+        entries = [line for line in re.split("[\n\r\v\f]", stripped) if line.strip(_SPACE)]
     summands = tuple(parse_rof(entry, field) for entry in entries)
     high = max((max(leaf_vars(r)) for r in summands), default=0)
     return RopSum(field, max(n, high), summands)
@@ -308,8 +311,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         for name in _INT_OPTIONS:
-            if getattr(args, name, None) is not None:
-                setattr(args, name, int_literal(getattr(args, name)))
+            text = getattr(args, name, None)
+            if text is not None:
+                try:
+                    setattr(args, name, int_literal(text))
+                except ParseError as exc:
+                    raise ParseError("argument --%s: %s" % (name, exc)) from None
         answer = args.fn(args, _parse_field(args.field))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -14,8 +14,10 @@ integer product of two variable-disjoint functions never carries.
 ``min_k`` answers the minimal-summand question by sumset search on the
 class: the two-summand test is an exact join on the top variable's half,
 against an index the class builds once, and more summands peel one member
-at a time down to that test.  ``closure_report`` checks closure under
-derivatives and restrictions member by member.
+at a time down to that test.  Both subtract with the class's one digitwise
+subtraction, xor over F_2, and the join scans its groups in C.
+``closure_report`` checks closure under derivatives and restrictions
+member by member.
 
 Feasible parameters: p=2 up to n=5, p=3 up to n=4, p=5 up to n=3.
 Enumeration is single-threaded and deterministic.
@@ -23,8 +25,9 @@ Enumeration is single-threaded and deterministic.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import groupby, repeat
+from operator import xor
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ._record import Frozen, _set
 from .errors import PreconditionViolated
@@ -73,10 +76,7 @@ def pack(poly: MultilinearPoly) -> PackedPoly:
         raise PreconditionViolated("packing needs a prime-field polynomial")
     p = poly.field.p
     _check_feasible(p, poly.n)
-    value = 0
-    for mask, c in poly.coeffs.items():
-        value += c * p**mask
-    return PackedPoly(p, poly.n, value)
+    return PackedPoly(p, poly.n, sum(c * p**mask for mask, c in poly.coeffs.items()))
 
 
 def unpack(packed: PackedPoly) -> MultilinearPoly:
@@ -101,10 +101,11 @@ class RopClass(Frozen):
     P*hi`` with ``lo < P = p^(2^(n-1))``: ``lo`` is f at x_n = 0 and ``hi``
     the partial derivative by x_n, so each group is one run of ``members``.
     A key splits at Q = p^(2^(n-2)) (1 at n = 1) the same way, its top half
-    being the ∂_{n-1}∂_n part.  No index assumes the class is closed."""
+    being the ∂_{n-1}∂_n part.  No index assumes the class is closed.
+    ``_sub`` is the class's subtraction of encodings, from ``_digit_sub``."""
 
     _fields = ("p", "n", "members")
-    __slots__ = _fields + ("_member_set", "_half", "_quarter", "_by_hi", "_by_top")
+    __slots__ = _fields + ("_member_set", "_half", "_quarter", "_by_hi", "_by_top", "_sub")
 
     def __init__(self, p: int, n: int, members: Iterable[int]):
         members = tuple(sorted(members))  # packed coefficient encodings
@@ -112,7 +113,7 @@ class RopClass(Frozen):
         quarter = p ** ((1 << n) >> 2)
         by_hi = {hi: tuple(run) for hi, run in groupby(members, lambda v: v // half)}
         by_top = {top: tuple(run) for top, run in groupby(by_hi, lambda h: h // quarter)}
-        indexes = (frozenset(members), half, quarter, by_hi, by_top)
+        indexes = (frozenset(members), half, quarter, by_hi, by_top, _digit_sub(p))
         for name, value in zip(self.__slots__, (p, n, members) + indexes):
             _set(self, name, value)
 
@@ -121,6 +122,24 @@ class RopClass(Frozen):
 
     def __len__(self):
         return len(self.members)
+
+
+def _digit_sub(p: int) -> Callable[[int, int], int]:
+    """Digitwise t - s mod p of two encodings, with no borrow between
+    digits: xor over F_2, one base-p digit at a time otherwise."""
+    if p == 2:
+        return xor
+
+    def sub(t: int, s: int) -> int:
+        out, scale = 0, 1
+        while t or s:
+            t, dt = divmod(t, p)
+            s, ds = divmod(s, p)
+            out += (dt - ds) % p * scale
+            scale *= p
+        return out
+
+    return sub
 
 
 def _submasks_with_lowest(u: int) -> Iterable[int]:
@@ -201,28 +220,6 @@ def enumerate_rops(p: int, n: int) -> RopClass:
 # ---------------------------------------------------------------------------
 
 
-def _check_target(target: PackedPoly, cls: RopClass):
-    if target.p != cls.p or target.n != cls.n:
-        raise PreconditionViolated(
-            "target is (p=%d, n=%d), class is (p=%d, n=%d)"
-            % (target.p, target.n, cls.p, cls.n)
-        )
-
-
-def _packed_sub(t: int, s: int, p: int) -> int:
-    """Digitwise t - s mod p: no borrow passes between digits."""
-    if p == 2:
-        return t ^ s
-    out = 0
-    scale = 1
-    while t or s:
-        t, dt = divmod(t, p)
-        s, ds = divmod(s, p)
-        out += ((dt - ds) % p) * scale
-        scale *= p
-    return out
-
-
 def _in_2s(t: int, cls: RopClass) -> bool:
     """Whether t is a sum of two members, by a join on the top variable.
 
@@ -234,29 +231,30 @@ def _in_2s(t: int, cls: RopClass) -> bool:
     are hi-groups looked up, from the smaller key group.  The pairs (α,
     t_hi - α) for each constant α (a key below p) go first: hi-group α, the
     members g + α*x_n with g free of x_n, is as large as any and often
-    holds a witness.  Every other pair is visited once."""
-    p = cls.p
+    holds a witness.  Every other pair is visited once.  A group is scanned
+    in C up to its first witness, each member subtracted from t once by
+    ``cls._sub``: xor over F_2, a call of the digit loop over odd p."""
+    p, sub = cls.p, cls._sub
     t_hi = t // cls._half
     t_top = t_hi // cls._quarter
-    by_top, by_hi, mset = cls._by_top, cls._by_hi, cls._member_set
+    by_top, by_hi, isdisjoint = cls._by_top, cls._by_hi, cls._member_set.isdisjoint
 
     def joins(a: int, b: int) -> bool:
         group, other = by_hi.get(a), by_hi.get(b)
-        if group is not None and other is not None:
-            for s in min(group, other, key=len):
-                if _packed_sub(t, s, p) in mset:
-                    return True
-        return False
+        if group is None or other is None:
+            return False
+        small = other if len(other) < len(group) else group
+        return not isdisjoint(map(sub, repeat(t), small))
 
     for alpha in range(p):
-        if joins(alpha, _packed_sub(t_hi, alpha, p)):
+        if joins(alpha, sub(t_hi, alpha)):
             return True
     for c, keys in by_top.items():
-        d = _packed_sub(t_top, c, p)
+        d = sub(t_top, c)
         if d < c or d not in by_top:
             continue
-        for a in min(keys, by_top[d], key=len):
-            b = _packed_sub(t_hi, a, p)
+        for a in by_top[d] if len(by_top[d]) < len(keys) else keys:
+            b = sub(t_hi, a)
             if b in by_hi and a >= p and b >= p and (c < d or a <= b) and joins(a, b):
                 return True
     return False
@@ -275,19 +273,21 @@ def min_k(target: PackedPoly, cls: RopClass, kmax: int = 3) -> Optional[int]:
     2,680 hi-group keys and about 250 of the 68,968 members of F_2 n=5,
     and 585 of 2,025 keys and about 3,300 of 89,721 members of F_3 n=4.
     k>=3 tries first summands in ascending encoding order and asks the
-    (k-1) question of the rest, so a positive answer stops at its first
+    (k-1) question of t - s, so a positive answer stops at its first
     witness, while a negative answer at k=3 costs one k=2 join per member.
     """
-    _check_target(target, cls)
+    if (target.p, target.n) != (cls.p, cls.n):
+        raise PreconditionViolated("target is (p=%d, n=%d), class is (p=%d, n=%d)"
+                                   % (target.p, target.n, cls.p, cls.n))
     _check_kmax(kmax)
-    p = cls.p
+    sub = cls._sub
 
     def reachable(t: int, k: int) -> bool:
         if k == 1:
             return t in cls
         if k == 2:
             return _in_2s(t, cls)
-        return any(reachable(_packed_sub(t, s, p), k - 1) for s in cls.members)
+        return any(reachable(sub(t, s), k - 1) for s in cls.members)
 
     for k in range(1, kmax + 1):
         if reachable(target.value, k):

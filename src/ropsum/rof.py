@@ -359,8 +359,13 @@ def print_rof(rof: Rof) -> str:
     return "".join(parts)
 
 
+# a formula token: a parenthesis, or a run of other characters up to a
+# parenthesis or ASCII whitespace (scalars' one space rule)
+_TOKEN_RE = re.compile(r"[()]|[^()\s]+", re.ASCII)
+
+
 def _tokenize(text: str) -> List[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+    return _TOKEN_RE.findall(text)
 
 
 class _TokenStream:

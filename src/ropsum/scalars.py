@@ -285,10 +285,13 @@ def sqrt_in_field(x: FieldElem) -> Optional[FieldElem]:
 
 # The one integer rule for text: ASCII digits, matched whole (``\d`` and
 # ``int`` also take other scripts' digits, ``int`` also ``_`` and spaces,
-# and ``$`` matches before a trailing newline).
+# and ``$`` matches before a trailing newline).  The one space rule: ASCII
+# whitespace, ``_SPACE`` or ``\s`` under ``re.ASCII`` (``str.strip``,
+# ``str.split`` and a plain ``\s`` also take other scripts' spaces).
+_SPACE = " \t\n\r\f\v"
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_RAT_RE = re.compile(r"([+-]?[0-9]+)\s*/\s*([0-9]+)")
-_MOD_RE = re.compile(r"([+-]?[0-9]+)\s+mod\s+([0-9]+)")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)\s*/\s*([0-9]+)", re.ASCII)
+_MOD_RE = re.compile(r"([+-]?[0-9]+)\s+mod\s+([0-9]+)", re.ASCII)
 
 
 def int_literal(text: str) -> int:
@@ -305,7 +308,7 @@ def int_literal(text: str) -> int:
 
 def parse_scalar(text: str, field: FieldDescriptor) -> FieldElem:
     """Parse ``k``, ``p/q`` or ``k mod p`` in the context of ``field``."""
-    s = text.strip()
+    s = text.strip(_SPACE)
     m = _MOD_RE.fullmatch(s)
     if m:
         if field.kind != "prime":

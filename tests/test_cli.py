@@ -562,3 +562,59 @@ def test_ascii_integers_read_as_before(capsys):
     assert (code, out) == (2, "") and "expected an integer, got ' 7'" in err
     code, out, err = run(capsys, "oracle", "--field", "fp:2", "--n", "-1")
     assert (code, out) == (3, "") and "precondition violated" in err
+
+
+# Where the grammars take whitespace, with "{0}" where it goes.  Every ASCII
+# whitespace character reads as a plain space there; other characters that
+# str.split and str.strip take as whitespace (a no-break space, an em space,
+# an ideographic space, NEL, a line separator and an ASCII file separator)
+# are refused.
+SPACE_SLOTS = {
+    "mod-scalar": ("parse", "--field", "fp:7", "3{0}mod{0}7*x1 + 1"),
+    "rational": ("parse", "{0}3{0}/{0}4{0}*x1"),
+    "poly-text": ("parse", "{0}x1{0}+{0}2{0}*{0}x2{0}-{0}1{0}"),
+    "rof": ("eval", "{0}(leaf{0}({0}2{0}0{0}){0}x1{0}){0}"),
+    "family": ("check2rop", "--family", "1,{0}2{0},3"),
+}
+UNICODE_SPACES = ["\u00a0", "\u2003", "\u3000", "\x85", "\u2028", "\x1c"]
+
+
+@pytest.mark.parametrize("slot", SPACE_SLOTS)
+def test_every_space_is_ascii_whitespace(capsys, slot):
+    template = SPACE_SLOTS[slot]
+    code, shown, _ = run(capsys, *(arg.format(" ") for arg in template))
+    assert code == 0 and shown
+    for space in "\t\n\r\f\v":
+        assert run(capsys, *(arg.format(space) for arg in template))[:2] == (0, shown), space
+    for space in UNICODE_SPACES:
+        code, out, err = run(capsys, *(arg.format(space) for arg in template))
+        assert (code, out) == (2, ""), space
+        assert "parse error" in err
+
+
+def test_a_sum_of_formulas_breaks_lines_at_ascii_line_breaks_only(capsys):
+    summands = "(leaf (1 0) x1){}(leaf (1 0) x2)"
+    for brk in ("\n", "\r\n", "\r", "\v", "\f", "\n \n"):
+        code, out, _ = run(capsys, "verify", "--target", "x1 + x2", summands.format(brk))
+        assert (code, out) == (0, '{"equal": true}'), brk
+    for brk in ("\x85", "\u2028", "\u2029", "\x1c", "\x1e", "\u00a0"):
+        code, out, err = run(capsys, "verify", "--target", "x1 + x2", summands.format(brk))
+        assert (code, out) == (2, ""), brk
+        assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--field", "fp:2", "--n", "2", "--kmax", "{}", "--min-k", "x1"),
+        ("diff", "--var", "{}", "x1"),
+        ("oracle", "--field", "fp:2", "--n", "{}"),
+    ],
+    ids=["kmax", "var", "n"],
+)
+def test_a_malformed_integer_option_names_itself(capsys, argv):
+    option = argv[argv.index("{}") - 1]
+    for bad in ("x", "1.5", ""):
+        code, out, err = run(capsys, *(arg.format(bad) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == "parse error: argument %s: expected an integer, got %r" % (option, bad)

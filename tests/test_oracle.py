@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import operator
 import pickle
 import random
 import statistics
@@ -367,7 +368,8 @@ def test_min_k_two_on_every_target_of_sparse_classes(p, n):
 
 
 class _CountingSet:
-    """A member set that counts the membership tests made on it."""
+    """A member set that counts the membership tests made on it: one per
+    ``in``, and one per value ``isdisjoint`` consumes."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -376,6 +378,13 @@ class _CountingSet:
     def __contains__(self, value):
         self.probes += 1
         return value in self.inner
+
+    def isdisjoint(self, values):
+        for value in values:
+            self.probes += 1
+            if value in self.inner:
+                return False
+        return True
 
 
 def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
@@ -389,54 +398,95 @@ def test_min_k_two_examines_a_tenth_of_the_class_at_most(classes):
             counting.probes = 0
             if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
                 negatives += 1
-                assert counting.probes <= len(cls) // 10
+                assert 0 < counting.probes <= len(cls) // 10
     finally:
         _set(cls, "_member_set", counting.inner)
     assert negatives >= 20
 
 
-def test_min_k_two_visits_half_the_hi_groups_at_most(classes, monkeypatch):
+def _counting_sub(cls, calls):
+    """Sets the class's subtraction to one that appends its (t, s) to
+    ``calls``; returns the real one, to be set back."""
+    real_sub = cls._sub
+
+    def counting_sub(t, s):
+        calls.append((t, s))
+        return real_sub(t, s)
+
+    _set(cls, "_sub", counting_sub)
+    return real_sub
+
+
+def test_a_class_subtracts_with_xor_over_f2_and_digitwise_over_odd_p(classes):
+    # over F_2 digitwise subtraction is the xor of the bit vectors, so the
+    # join's member scan makes no Python call at all
+    assert classes(2, 3)._sub is operator.xor
+    rng = random.Random(30)
+    for p, n in ((3, 2), (5, 2), (3, 4)):
+        sub = classes(p, n)._sub
+        for _ in range(200):
+            t, s = rng.randrange(p ** (1 << n)), rng.randrange(p ** (1 << n))
+            assert sub(t, s) == _reference_sub(t, s, p), (p, t, s)
+
+
+def test_min_k_two_visits_half_the_hi_groups_at_most(classes):
     # every hi-group key the join examines costs one subtraction, t_hi - a,
     # so the subtractions a negative makes bound the keys it examines
     cls = classes(2, 5)
     calls = []
-    real_sub = oracle._packed_sub
-
-    def counting_sub(t, s, p):
-        calls.append(None)
-        return real_sub(t, s, p)
-
-    monkeypatch.setattr(oracle, "_packed_sub", counting_sub)
+    real_sub = _counting_sub(cls, calls)
     rng = random.Random(53)
     work = []
-    while len(work) < 25:
-        calls.clear()
-        if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
-            work.append(len(calls))
-    assert statistics.median(work) <= len(cls._by_hi) // 2
+    try:
+        while len(work) < 25:
+            calls.clear()
+            if min_k(PackedPoly(2, 5, rng.randrange(1 << 32)), cls, 2) is None:
+                work.append(len(calls))
+    finally:
+        _set(cls, "_sub", real_sub)
+    assert 0 < statistics.median(work) <= len(cls._by_hi) // 2
 
 
 @pytest.mark.parametrize("target", [1124292, 1155331980])
-def test_min_k_two_subtracts_each_member_from_the_target_once(
-    classes, monkeypatch, target
-):
+def test_min_k_two_subtracts_each_member_from_the_target_once(classes, target):
     # a member lies in one hi-group, and a hi-group a in one pair (a, t_hi - a),
     # so a join that visits each pair once subtracts each member from t once
     # at most.  Both targets are negatives: the first has t_top = 0, so its
     # key pairs (a, b) and (b, a) meet in one key group; the second reaches
     # pairs with a constant key b from the key group of t_top - c.
     cls = classes(2, 5)
-    subtracted = Counter()
-    real_sub = oracle._packed_sub
-
-    def counting_sub(t, s, p):
-        if t == target:
-            subtracted[s] += 1
-        return real_sub(t, s, p)
-
-    monkeypatch.setattr(oracle, "_packed_sub", counting_sub)
-    assert min_k(PackedPoly(2, 5, target), cls, 2) is None
+    calls = []
+    real_sub = _counting_sub(cls, calls)
+    try:
+        assert min_k(PackedPoly(2, 5, target), cls, 2) is None
+    finally:
+        _set(cls, "_sub", real_sub)
+    subtracted = Counter(s for t, s in calls if t == target)
     assert subtracted and max(subtracted.values()) == 1
+
+
+# min_k(..., 2) on seeded targets of F_2 n=5 and F_3 n=4, uniform and then
+# planted 2-sums: (uniform, planted, the counts of the answers 1, 2 and None,
+# sha256 of the answers as bytes with None as 0).  The join's answers, pinned.
+JOIN_ANSWERS = {
+    (2, 5): (2000, 200, (2, 346, 1852),
+             "930eb43f4341b3b88a794003285fdcda4c567f95f3853679e19ec3d694717ebc"),
+    (3, 4): (100, 50, (4, 140, 6),
+             "6360584559eaa1816a94fe1e3f441e59936c07e2b42694c8f2341db39c672d5d"),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(JOIN_ANSWERS))
+def test_min_k_two_answers_are_pinned(classes, p, n):
+    uniform, planted, counts, digest = JOIN_ANSWERS[(p, n)]
+    cls = classes(p, n)
+    rng = random.Random(30 + p)
+    values = [rng.randrange(p ** (1 << n)) for _ in range(uniform)]
+    values += [_planted(rng, cls.members, p, 2) for _ in range(planted)]
+    answers = [min_k(PackedPoly(p, n, v), cls, 2) for v in values]
+    assert None not in answers[uniform:]
+    assert (answers.count(1), answers.count(2), answers.count(None)) == counts
+    assert hashlib.sha256(bytes(a or 0 for a in answers)).hexdigest() == digest
 
 
 # member count and sha256 of struct.pack("<%dQ", *members), for every feasible
