@@ -3,9 +3,9 @@
 The package decides and constructs representations of multilinear
 polynomials as sums of read-once formulas (ROFs): pairing and recursive
 decompositions, the closed-form decision for the weighted 4-variable
-quadratic family, structural checks for sums of two ROFs, and an
-exhaustive finite-field oracle that certifies minimal summand counts at
-small scale.
+quadratic family, which is the one certified sum-of-two-ROFs decision,
+and an exhaustive finite-field oracle that certifies minimal summand
+counts at small scale.
 """
 
 from .errors import (

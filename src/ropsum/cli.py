@@ -13,8 +13,9 @@ Scalars are exact: integers, ``p/q`` rationals, or ``k mod p``.  Every
 integer the program reads as text -- in a scalar, a variable index,
 ``--field fp:P``, ``--var``, ``--vars``, ``--n``, ``--kmax`` or the ``n`` of
 ``symmetric:n,a,b`` -- is read by :func:`ropsum.scalars.int_literal`, which
-takes ASCII ``[+-]?[0-9]+`` and nothing else, and a malformed ``--var``,
-``--n`` or ``--kmax`` is refused under the option's name; comma lists
+takes ASCII ``[+-]?[0-9]+`` and nothing else, and a malformed integer in an
+option (``--field``, ``--var``, ``--vars``, ``--n``, ``--kmax`` or
+``--strategy``) is refused under the option's name; comma lists
 (``--vars``, ``--family``, ``symmetric:``, ``sympoly4:``) are split by one
 rule that checks their length.  Wherever a grammar takes whitespace, it
 takes ASCII whitespace alone, ``scalars._SPACE``.
@@ -95,7 +96,7 @@ def _parse_field(spec: str) -> FieldDescriptor:
     if spec == "q":
         return QQ
     if spec.startswith("fp:"):
-        return prime_field(int_literal(spec[3:]))
+        return prime_field(_option_int("field", spec[3:]))
     raise ParseError("field must be 'q' or 'fp:<prime>', got %r" % spec)
 
 
@@ -128,6 +129,15 @@ def _parse_rofsum_text(text: str, field: FieldDescriptor, n: int) -> RopSum:
     return RopSum(field, max(n, high), summands)
 
 
+def _option_int(name: str, text: str) -> int:
+    """The integer ``text``, read inside option ``--name``: a malformed one
+    is refused under the option's name."""
+    try:
+        return int_literal(text)
+    except ParseError as exc:
+        raise ParseError("argument --%s: %s" % (name, exc)) from None
+
+
 def _csv(text: str, what: str, shape: str) -> List[str]:
     """``text`` split at its commas into the fields ``shape`` names."""
     parts = text.split(",")
@@ -150,7 +160,7 @@ def _cmd_diff(args, field) -> str:
 
 
 def _cmd_commutator(args, field) -> str:
-    i, j = map(int_literal, _csv(args.vars, "--vars", "i,j"))
+    i, j = (_option_int("vars", v) for v in _csv(args.vars, "--vars", "i,j"))
     poly = parse_poly_text(_read_arg(args.poly), field)
     return sparse_str(commutator(poly, i, j))
 
@@ -179,7 +189,7 @@ def _cmd_decompose(args, field) -> dict:
     elif spec.startswith("symmetric:"):
         n, alpha, beta = _csv(spec[len("symmetric:") :], "symmetric strategy", "n,alpha,beta")
         result = symmetric_halves(
-            int_literal(n), parse_scalar(alpha, field), parse_scalar(beta, field), field
+            _option_int("strategy", n), parse_scalar(alpha, field), parse_scalar(beta, field), field
         )
     else:
         coeffs = _csv(spec[len("sympoly4:") :], "sympoly4 strategy", "a0,a1,a2,a3,a4")
@@ -281,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("check2rop", _cmd_check2rop, help="decide the weighted quadratic family")
     p.add_argument("--family", required=True, help="alpha,beta,gamma")
 
-    p = add("refute2", _cmd_refute2, help="sum-of-2 structural decision, 4 variables")
+    p = add("refute2", _cmd_refute2, help="sum-of-2 decision, 4 variables; certified on the weighted family")
     p.add_argument("poly")
 
     p = add("oracle", _cmd_oracle, help="exhaustive finite-field queries")
@@ -313,10 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in _INT_OPTIONS:
             text = getattr(args, name, None)
             if text is not None:
-                try:
-                    setattr(args, name, int_literal(text))
-                except ParseError as exc:
-                    raise ParseError("argument --%s: %s" % (name, exc)) from None
+                setattr(args, name, _option_int(name, text))
         answer = args.fn(args, _parse_field(args.field))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -114,17 +114,6 @@ class MultilinearPoly(_Poly):
         _set(self, "field", field)
         _set(self, "coeffs", clean)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, n: int, field: FieldDescriptor, c: Scalar) -> "MultilinearPoly":
-        return cls(n, field, {0: c})
-
-    @classmethod
-    def variable(cls, n: int, field: FieldDescriptor, i: int) -> "MultilinearPoly":
-        _check_index(i, n)
-        return cls(n, field, {1 << (i - 1): 1})
-
     # -- basic queries -----------------------------------------------------
 
     def coeff(self, mask: int) -> FieldElem:

@@ -15,14 +15,14 @@ whose commutator is nonzero, each read off as a slice of f's monomials.
 The first pair (a, b) that yields a shift decides the node: one
 factorization per node, and the scan stops there.
 
-On top of that sit the certified decisions for sums of two read-once
-formulas on four variables: the restriction-linearity check (C1'), the
-derivative linear-dependence check (C2'), and the complete closed-form
-decision ``family4_decide`` for the weighted quadratic family, which
-either emits a verified two-formula witness or returns the discriminant
-d_1 = d_2 = d_3, which has no square root.  Its witnesses are built on
-their final variables and re-checked with the formula builders of
-:mod:`ropsum.decompose`.
+On top of that sits the one certified decision for sums of two
+read-once formulas on four variables, ``family4_decide``: complete on the
+weighted quadratic family, it either emits a verified two-formula witness
+or returns the discriminant d_1 = d_2 = d_3, which has no square root.
+Its witnesses are built on their final variables and re-checked with the
+formula builders of :mod:`ropsum.decompose`.  ``sum2_refute`` sends a
+4-variable polynomial of the family's shape there and answers every other
+input with one fixed ``inconclusive``.
 
 The recognizer works directly on a polynomial's raw coefficient map
 (mask -> Fraction, or int in [0, p)) with its field descriptor's
@@ -44,7 +44,6 @@ from .mpoly import (
     _infer_field,
     _support,
     family4,
-    linear_dependent,
 )
 from .rof import (
     ADD,
@@ -214,68 +213,6 @@ def is_rop(p: MultilinearPoly) -> Optional[Rof]:
 
 
 # ---------------------------------------------------------------------------
-# structural conditions for sums of two read-once formulas (4 variables)
-# ---------------------------------------------------------------------------
-
-
-def check_c1prime(
-    g: MultilinearPoly,
-) -> Optional[Tuple[int, int, FieldElem, FieldElem]]:
-    """A witness (i, j, a, b) making g|_{x_i=a, x_j=b} linear, if one exists.
-
-    After the restriction only the monomial on the complementary pair
-    {k, l} can have degree 2; its coefficient is the bilinear form
-    c(a, b) = g_kl + a g_ikl + b g_jkl + ab g_ijkl, solved exactly as a
-    linear equation in b for a = 0, then a = 1.
-    """
-    if g.n != 4:
-        raise PreconditionViolated("restriction-linearity check needs exactly 4 variables")
-    field = g.field
-    zero = field.zero()
-    full = 0b1111
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            bi, bj = 1 << (i - 1), 1 << (j - 1)
-            rest = full ^ bi ^ bj
-            g_kl = g.coeff(rest)
-            g_ikl = g.coeff(rest | bi)
-            g_jkl = g.coeff(rest | bj)
-            g_ijkl = g.coeff(full)
-            # the slope is g_jkl at a = 0 and g_ijkl + g_jkl at a = 1
-            for a in (zero, field.one()):
-                slope = g_ijkl * a + g_jkl
-                offset = g_ikl * a + g_kl
-                if not slope.is_zero():
-                    return i, j, a, -offset / slope
-                if offset.is_zero():
-                    return i, j, a, zero
-            # both slopes are zero: c(a, b) = g_ikl * a + g_kl for every b
-            if not g_ikl.is_zero():
-                return i, j, -g_kl / g_ikl, zero
-    return None
-
-
-def check_c2prime(
-    g: MultilinearPoly,
-) -> Optional[Tuple[int, int, List[FieldElem]]]:
-    """The first pair (i, j) for which x_i, x_j, d_i g, d_j g, 1 are linearly
-    dependent, together with the dependence coefficients."""
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            polys = [
-                MultilinearPoly.variable(g.n, g.field, i),
-                MultilinearPoly.variable(g.n, g.field, j),
-                g.partial(i),
-                g.partial(j),
-                MultilinearPoly.constant(g.n, g.field, 1),
-            ]
-            dep = linear_dependent(polys)
-            if dep is not None:
-                return i, j, dep
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the weighted quadratic family: closed-form sum-of-2 decision
 # ---------------------------------------------------------------------------
 
@@ -285,8 +222,8 @@ class Sum2Decision(Frozen):
 
     ``expressible`` carries a verified witness and the condition that
     failed; ``not_expressible`` carries the three discriminants, which are
-    one value with no square root in the field; ``inconclusive`` carries a
-    reason.
+    one value with no square root in the field; ``inconclusive``, the
+    answer outside the weighted family, carries one fixed note.
     """
 
     __slots__ = _fields = ("outcome", "branch", "witness", "d", "note", "tau", "delta", "mu")
@@ -418,36 +355,20 @@ def family4_decide(
     )
 
 
-def sum2_refute(g: MultilinearPoly) -> Sum2Decision:
-    """Certified-where-possible decision for a 4-variable polynomial.
 
-    Polynomials matching the weighted quadratic family pattern get the
-    complete closed-form decision.  Outside the family the structural
-    necessary conditions are reported: if the restriction-linearity or
-    derivative-dependence condition holds the answer is inconclusive
-    (possibly expressible); if both fail, deciding the remaining
-    product-of-linear-forms shape is outside the certified scope.  This
-    function never claims non-expressibility outside the family.
+
+def sum2_refute(g: MultilinearPoly) -> Sum2Decision:
+    """The sum-of-two decision for a 4-variable polynomial, where one is
+    certified.
+
+    A polynomial of the weighted quadratic family's shape gets
+    ``family4_decide``'s complete decision.  Every other input gets one
+    fixed ``inconclusive`` answer, since outside the family no decision is
+    certified: this never claims non-expressibility there.
     """
     if g.n != 4:
         raise PreconditionViolated("the decision operates on 4-variable polynomials")
     a, b, c = g.coeff(0b0011), g.coeff(0b0101), g.coeff(0b1001)
     if g == family4(a, b, c, g.field):
         return family4_decide(a, b, c, g.field)
-
-    c1 = check_c1prime(g)
-    if c1 is not None:
-        return Sum2Decision(
-            outcome="inconclusive",
-            note="C1' holds at (i=%d, j=%d): possibly expressible" % (c1[0], c1[1]),
-        )
-    c2 = check_c2prime(g)
-    if c2 is not None:
-        return Sum2Decision(
-            outcome="inconclusive",
-            note="C2' holds at (i=%d, j=%d): possibly expressible" % (c2[0], c2[1]),
-        )
-    return Sum2Decision(
-        outcome="inconclusive",
-        note="general C3' decision out of certified scope",
-    )
+    return Sum2Decision("inconclusive", note="outside the weighted family; no certified decision")

@@ -202,7 +202,7 @@ def test_criterion_5_constructive_upper_bounds():
             n = rng.randint(1, 8)
             p = random_poly(rng, n, QQ, density=rng.uniform(0.2, 0.8))
             if p.is_zero():
-                p = p + MultilinearPoly.constant(n, QQ, 1)
+                p = p + MultilinearPoly(n, QQ, {0: 1})
             s = pair_monomials(p)
             assert len(s.summands) <= math.ceil(len(p.coeffs) / 2)
             assert verify_against(s, p)
@@ -255,7 +255,7 @@ def test_criterion_6_commutator_divisibility_and_witness_identity():
             f = l1.mul_disjoint(l2) + l3.mul_disjoint(l4)
             # A*D - B*C = l2 * q, q = a0*b1*d2 - a1*a2*l2 - a1*d2*(b0 + b3 x3) - a2*b1*(d0 + d4 x4)
             (a0, a1, a2), b1, d2 = map(l1.coeff, (0, 1, 2)), l3.coeff(1), l4.coeff(2)
-            q = MultilinearPoly.constant(4, QQ, a0 * b1 * d2) - l2.scale(a1 * a2)
+            q = MultilinearPoly(4, QQ, {0: a0 * b1 * d2}) - l2.scale(a1 * a2)
             q = q - l3.restrict(1, 0).scale(a1 * d2) - l4.restrict(2, 0).scale(a2 * b1)
             assert commutator(f, 1, 2) == product_sum(4, QQ, [(1, q, l2)])
 

@@ -609,11 +609,14 @@ def test_a_sum_of_formulas_breaks_lines_at_ascii_line_breaks_only(capsys):
         ("oracle", "--field", "fp:2", "--n", "2", "--kmax", "{}", "--min-k", "x1"),
         ("diff", "--var", "{}", "x1"),
         ("oracle", "--field", "fp:2", "--n", "{}"),
+        ("commutator", "--vars", "1,{}", "x1"),
+        ("parse", "--field", "fp:{}", "x1"),
+        ("decompose", "--strategy", "symmetric:{},0,1"),
     ],
-    ids=["kmax", "var", "n"],
+    ids=["kmax", "var", "n", "vars", "field", "strategy"],
 )
 def test_a_malformed_integer_option_names_itself(capsys, argv):
-    option = argv[argv.index("{}") - 1]
+    option = next(argv[i - 1] for i, arg in enumerate(argv) if "{}" in arg)
     for bad in ("x", "1.5", ""):
         code, out, err = run(capsys, *(arg.format(bad) for arg in argv))
         assert (code, out) == (2, "")

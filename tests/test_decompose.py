@@ -387,7 +387,7 @@ def _decomposition_corpus():
 
     def record(name, s, target):
         others = (
-            target + MultilinearPoly.constant(target.n, target.field, 1),
+            target + MultilinearPoly(target.n, target.field, {0: 1}),
             random_poly(rng, target.n, target.field, 0.5),
         )
         answers = [verify_against(s, t) for t in (target,) + others]

@@ -177,9 +177,12 @@ def test_elementary_symmetric_refuses_a_degree_outside_0_to_n():
 
 
 def test_variable_refuses_an_index_outside_1_to_n():
-    with pytest.raises(IndexOutOfRange) as exc:
-        MultilinearPoly.variable(2, QQ, 3)
-    assert str(exc.value) == "variable x3 outside 1..2"
+    # every operation that takes a variable index refuses one outside 1..n
+    p = P(2, {0b11: 1})
+    for op in (lambda: p.partial(3), lambda: p.restrict(3, 0), lambda: commutator(p, 1, 3)):
+        with pytest.raises(IndexOutOfRange) as exc:
+            op()
+        assert str(exc.value) == "variable x3 outside 1..2"
 
 
 def test_m_poly_is_symmetric_combination():
@@ -199,13 +202,7 @@ def test_family4_coefficients():
 
 def test_linear_dependent_examples():
     f = family4(1, 2, 2)
-    polys = [
-        MultilinearPoly.variable(4, QQ, 1),
-        MultilinearPoly.variable(4, QQ, 2),
-        f.partial(1),
-        f.partial(2),
-        MultilinearPoly.constant(4, QQ, 1),
-    ]
+    polys = [P(4, {0b0001: 1}), P(4, {0b0010: 1}), f.partial(1), f.partial(2), P(4, {0: 1})]
     dep = linear_dependent(polys)
     assert dep is not None
     acc = MultilinearPoly(4, QQ, {})
@@ -213,9 +210,7 @@ def test_linear_dependent_examples():
         acc = acc + poly.scale(coeff)
     assert acc.is_zero()
 
-    assert linear_dependent(
-        [MultilinearPoly.constant(2, QQ, 1), MultilinearPoly.variable(2, QQ, 1)]
-    ) is None
+    assert linear_dependent([P(2, {0: 1}), P(2, {0b01: 1})]) is None
 
     p = P(2, {0b11: 3, 0: 1})
     assert linear_dependent([p, p]) == [QQ.one(), QQ.elem(-1)]
@@ -224,15 +219,13 @@ def test_linear_dependent_examples():
 def test_linear_dependent_of_nothing_and_of_mixed_variable_counts():
     assert linear_dependent([]) is None
     with pytest.raises(IndexOutOfRange) as exc:
-        linear_dependent([MultilinearPoly.variable(2, QQ, 1), MultilinearPoly.variable(3, QQ, 1)])
+        linear_dependent([P(2, {0b01: 1}), P(3, {0b001: 1})])
     assert str(exc.value) == "mixed variable counts in dependence test"
 
 
 def test_linear_dependent_field_mismatch():
     with pytest.raises(FieldMismatch):
-        linear_dependent(
-            [MultilinearPoly.variable(2, QQ, 1), MultilinearPoly.variable(2, F2, 1)]
-        )
+        linear_dependent([P(2, {0b01: 1}), P(2, {0b01: 1}, F2)])
 
 
 def test_mixed_partials_commute():

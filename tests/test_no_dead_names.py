@@ -18,8 +18,8 @@ LEMMAS = {
     # acceptance criterion 6 checks it, and the paper's lower-bound chain,
     # run on a given sum, is its planned caller
     "mrops_witness",
-    # the 3-variable linearizing restriction behind the C1' check, which an
-    # is-rop negative's 3-variable certificate may report
+    # the paper's 3-variable linearizing restriction, which an is-rop
+    # negative's 3-variable certificate may report
     "three_var_linearizing_restriction",
 }
 

@@ -168,7 +168,7 @@ def test_odd_prime_affine_closure_of_members():
     for _ in range(100):
         v = rng.choice(cls.members)
         poly = unpack(PackedPoly(3, 2, v))
-        scaled = poly.scale(2) + MultilinearPoly.constant(2, poly.field, 1)
+        scaled = poly.scale(2) + MultilinearPoly(2, poly.field, {0: 1})
         assert pack(scaled).value in cls
 
 

@@ -20,13 +20,7 @@ from ropsum import (
 from ropsum import recognize
 from ropsum.mpoly import _bits, _commutator_raw
 from ropsum.oracle import enumerate_rops, min_k, pack
-from ropsum.recognize import (
-    check_c1prime,
-    check_c2prime,
-    family4_decide,
-    is_rop,
-    sum2_refute,
-)
+from ropsum.recognize import Sum2Decision, family4_decide, is_rop, sum2_refute
 from ropsum.rof import ADD, MUL, Gate, evaluate, leaf_vars, print_rof, validate, verify_against
 
 from helpers import random_poly, random_rof, random_scalar, random_variable_subset, variables_of
@@ -64,7 +58,7 @@ def test_is_rop_sums_one_summand_per_component_in_order_of_lowest_variable():
             n = rng.randint(2, 9)
             used = rng.sample(range(1, n + 1), rng.randint(1, n))
             cuts = sorted(rng.sample(range(1, len(used)), rng.randint(0, len(used) - 1)))
-            p = MultilinearPoly.constant(n, field, random_scalar(rng, field))
+            p = P(n, {0: random_scalar(rng, field)}, field)
             for a, b in zip([0] + cuts, cuts + [len(used)]):
                 p = p + evaluate(random_rof(rng, sorted(used[a:b]), field), n)
             w = is_rop(p)
@@ -201,9 +195,9 @@ def test_factor_blocks_match_all_pairs_components(field):
             k = rng.randint(2, min(4, n))
             cuts = sorted(rng.sample(range(1, n), k - 1))
             groups = [variables[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-        p = MultilinearPoly.constant(n, field, 1)
+        p = P(n, {0: 1}, field)
         for group in groups:
-            factor = MultilinearPoly.constant(n, field, 0)
+            factor = P(n, {}, field)
             while any(not factor.partial(v).coeffs for v in group):
                 factor = _random_factor(rng, n, field, group)
             p = p.mul_disjoint(factor)
@@ -420,92 +414,6 @@ def test_is_rop_matches_oracle_sampled(p, n):
     assert _oracle_mismatches(p, n, values, cls) == []
 
 
-# -- restriction-linearity (C1') ---------------------------------------------
-
-
-def test_c1prime_full_monomial():
-    got = check_c1prime(P(4, {0b1111: 1}))
-    assert got == (1, 2, QQ.zero(), QQ.zero())
-
-
-def test_c1prime_family_fails():
-    assert check_c1prime(family4(2, 4, 5)) is None
-    assert check_c1prime(family4(1, 2, 3)) is None
-
-
-def test_c1prime_shifted_witness():
-    g = P(4, {0b0011: 1, 0b1100: 1, 0b1101: 1})
-    i, j, a, b = check_c1prime(g)
-    assert (i, j, a, b) == (1, 2, QQ.elem(-1), QQ.zero())
-    restricted = g.restrict(i, a).restrict(j, b)
-    assert restricted.degree() <= 1
-
-
-def test_c1prime_witness_always_linearizes():
-    rng = random.Random(15)
-    for _ in range(200):
-        g = random_poly(rng, 4, QQ, density=0.45)
-        got = check_c1prime(g)
-        if got is not None:
-            i, j, a, b = got
-            assert g.restrict(i, a).restrict(j, b).degree() <= 1
-
-
-def test_c1prime_exhaustive_agreement_small_field():
-    rng = random.Random(16)
-    for p in (2, 3, 5):
-        field = prime_field(p)
-        for _ in range(60):
-            g = random_poly(rng, 4, field, density=0.5)
-            got = check_c1prime(g)
-            brute = None
-            for i in range(1, 5):
-                for j in range(i + 1, 5):
-                    for a in range(p):
-                        for b in range(p):
-                            if (
-                                g.restrict(i, a).restrict(j, b).degree() <= 1
-                            ) and brute is None:
-                                brute = (i, j, a, b)
-            assert (got is not None) == (brute is not None)
-    # arity is enforced
-    with pytest.raises(
-        PreconditionViolated,
-        match="^restriction-linearity check needs exactly 4 variables$",
-    ):
-        check_c1prime(P(3, {0b111: 1}))
-
-
-# -- derivative dependence (C2') ----------------------------------------------
-
-
-def test_c2prime_family_examples():
-    got = check_c2prime(family4(1, 2, 2))
-    assert got is not None and (got[0], got[1]) == (1, 2)
-    assert check_c2prime(family4(1, 2, 3)) is None
-
-
-def test_c2prime_on_single_variable():
-    assert check_c2prime(P(4, {0b0001: 1})) is not None
-
-
-def test_c2prime_dependence_verifies():
-    g = family4(3, 5, 5)
-    i, j, dep = check_c2prime(g)
-    polys = [
-        MultilinearPoly.variable(4, QQ, i),
-        MultilinearPoly.variable(4, QQ, j),
-        g.partial(i),
-        g.partial(j),
-        MultilinearPoly.constant(4, QQ, 1),
-    ]
-    acc = MultilinearPoly(4, QQ, {})
-    for c, poly in zip(dep, polys):
-        acc = acc + poly.scale(c)
-    assert acc.is_zero()
-    assert any(not c.is_zero() for c in dep)
-
-
 # -- the family decision -----------------------------------------------------
 
 
@@ -599,6 +507,9 @@ def test_family_witnesses_always_verify():
 
 # -- the general 4-variable entrypoint ----------------------------------------
 
+# the one answer off the family's shape
+OFF_FAMILY = Sum2Decision("inconclusive", note="outside the weighted family; no certified decision")
+
 
 def test_refute2_family_delegation():
     assert sum2_refute(family4(2, 4, 5)).outcome == "not_expressible"
@@ -606,9 +517,7 @@ def test_refute2_family_delegation():
 
 
 def test_refute2_full_monomial_inconclusive():
-    d = sum2_refute(P(4, {0b1111: 1}))
-    assert d.outcome == "inconclusive"
-    assert "C1'" in d.note
+    assert sum2_refute(P(4, {0b1111: 1})) == OFF_FAMILY
 
 
 def test_refute2_requires_four_variables():
@@ -619,10 +528,59 @@ def test_refute2_requires_four_variables():
 
 
 def test_refute2_out_of_scope_note():
-    # family-like but with a linear extra term: C1' and C2' both fail
+    # family-like but with a linear extra term: off the family's shape
     g = family4(2, 4, 5) + P(4, {0b0001: 1})
+    assert sum2_refute(g) == OFF_FAMILY
+
+
+def _refute2_sample(rng, field, triples, uniform):
+    """(target, expected answer) pairs: ``uniform`` targets with every
+    coefficient drawn, and the family target of each triple, alone and
+    plus one more monomial.  Only the family targets have its shape."""
+    cases = [(P(4, {m: random_scalar(rng, field) for m in range(16)}, field), OFF_FAMILY)
+             for _ in range(uniform)]
+    for a, b, c in triples:
+        g = family4(a, b, c, field)
+        extra = P(4, {rng.randrange(16): random_scalar(rng, field, nonzero=True)}, field)
+        cases += [(g, family4_decide(a, b, c, field)), (g + extra, OFF_FAMILY)]
+    return cases
+
+
+def _check_refute2(g, expected):
     d = sum2_refute(g)
-    assert d.outcome == "inconclusive"
+    assert d == expected
+    if d.outcome == "expressible":
+        assert len(d.witness.summands) <= 2 and verify_against(d.witness, g)
+    return d
+
+
+def test_sum2_refute_agrees_with_the_oracle_on_f3():
+    # min_k(..., 2) is exact on F_3 n=4: refute2 never refutes a target that
+    # two summands reach, and says expressible only of one they reach
+    F3 = prime_field(3)
+    cls = enumerate_rops(3, 4)
+    found = Counter()
+    for g, expected in _refute2_sample(random.Random(3101), F3, product(range(3), repeat=3), 200):
+        d = _check_refute2(g, expected)
+        two = min_k(pack(g), cls, 2) is not None
+        assert d.outcome != "not_expressible" or not two
+        assert d.outcome != "expressible" or two
+        found[d.outcome, two] += 1
+    # every family triple is expressible over F_3; off the family, targets
+    # within two summands and beyond them get the same fixed answer
+    assert found == {("expressible", True): 27, ("inconclusive", True): 213,
+                     ("inconclusive", False): 14}
+
+
+def test_sum2_refute_answers_off_the_family_with_one_fixed_object():
+    rng = random.Random(3102)
+    for field in (QQ, prime_field(101)):
+        triples = [tuple(random_scalar(rng, field) for _ in range(3)) for _ in range(40)]
+        outcomes = Counter(
+            _check_refute2(g, expected).outcome
+            for g, expected in _refute2_sample(rng, field, triples, 100)
+        )
+        assert set(outcomes) == {"expressible", "not_expressible", "inconclusive"}, field
 
 
 def test_decisions_are_frozen_and_their_json_is_pinned():
@@ -652,7 +610,7 @@ def test_decisions_are_frozen_and_their_json_is_pinned():
     }
     assert open_case.to_json_dict() == {
         "outcome": "inconclusive",
-        "note": "C1' holds at (i=1, j=2): possibly expressible",
+        "note": "outside the weighted family; no certified decision",
     }
     assert repr(refuted) == (
         "Sum2Decision(outcome='not_expressible', branch=None, witness=None, "
@@ -681,7 +639,6 @@ def test_decision_json_shape():
 PIN_FIELDS = [QQ, prime_field(3), prime_field(5), prime_field(7), prime_field(101)]
 PIN_WEIGHTS = range(-4, 5)
 FAMILY_DIGEST = "cbac73dbd8f7dae25bbb817bf4727f6a699c944f3d077408f4cd8fffea44a3c9"
-NEAR_MISS_DIGEST = "eb8739ccd85f5782cd3b0650d078f74ec6556f1d5178a1effcf937139ae1a537"
 
 
 def _digest(lines):
@@ -715,16 +672,13 @@ def test_family_decisions_are_pinned():
 def test_sum2_refute_near_misses_are_pinned():
     # one more x_S on a family polynomial: an extra monomial for the ten S
     # outside the family's support, an unequal pair for the six inside it;
-    # neither is the family shape, so neither reaches family4_decide
-    lines = []
+    # neither is the family shape, so neither reaches family4_decide, and
+    # each gets the one off-family answer
     for field in PIN_FIELDS:
         for a, b, c in product((-2, 0, 1, 3), repeat=3):
             g = family4(a, b, c, field)
             for m in range(16):
-                d = sum2_refute(g + P(4, {m: 1}, field))
-                assert d.outcome == "inconclusive"
-                lines.append(json.dumps([str(field), a, b, c, m, d.to_json_dict()]))
-    assert _digest(lines) == NEAR_MISS_DIGEST
+                assert sum2_refute(g + P(4, {m: 1}, field)) == OFF_FAMILY
 
 
 def test_family_decision_agrees_with_the_oracle_on_f3():
@@ -802,10 +756,10 @@ def _planted_rop_corpus():
                 used = rng.sample(range(1, n + 1), rng.randint(3, min(n, 6)))
                 cuts = sorted(rng.sample(range(1, len(used)), rng.randint(2, min(len(used) - 1, 4))))
                 groups = [sorted(used[a:b]) for a, b in zip([0] + cuts, cuts + [len(used)])]
-                product_ = MultilinearPoly.constant(n, field, 1)
+                product_ = P(n, {0: 1}, field)
                 for group in groups:
                     product_ = product_.mul_disjoint(evaluate(random_rof(rng, group, field), n))
-                corpus.append(product_ + MultilinearPoly.constant(n, field, random_scalar(rng, field)))
+                corpus.append(product_ + P(n, {0: random_scalar(rng, field)}, field))
     return corpus
 
 
@@ -824,31 +778,3 @@ def test_is_rop_witnesses_on_planted_corpus_are_pinned():
     assert sum(line.endswith('"-"]') for line in lines) == 40
     assert longest[ADD] >= 3 and longest[MUL] >= 3
     assert _digest(lines) == PLANTED_ROP_DIGEST
-
-
-# Digest of check_c1prime's full (i, j, a, b) answers, computed before the
-# case g_jkl = g_ijkl = 0 moved after the a in {0, 1} search.
-
-C1PRIME_DIGEST = "7ce5f62b21a7840bffaba7740000c761e38cbb964a9eedbb1be85a8f65027450"
-
-
-def test_c1prime_witnesses_are_pinned():
-    rng = random.Random(2425)
-    lines, reached = [], set()
-    for field in (QQ, F2, prime_field(3), prime_field(5)):
-        for density in (0.2, 0.35, 0.5, 0.8):
-            for _ in range(60):
-                g = random_poly(rng, 4, field, density)
-                got = check_c1prime(g)
-                if got is None:
-                    lines.append(json.dumps([str(field), None]))
-                    continue
-                i, j, a, b = got
-                lines.append(json.dumps([str(field), i, j, str(a), str(b)]))
-                rest = 0b1111 ^ 1 << (i - 1) ^ 1 << (j - 1)
-                if g.coeff(0b1111).is_zero() and g.coeff(rest | 1 << (j - 1)).is_zero():
-                    # the bilinear form is g_kl + a g_ikl for every b
-                    reached.add(str(a) if str(a) in ("0", "1") else "other")
-    # the b-free case answers a = 0, a = 1 and a = -g_kl/g_ikl otherwise
-    assert reached == {"0", "1", "other"}
-    assert _digest(lines) == C1PRIME_DIGEST

@@ -153,7 +153,7 @@ def test_verify_against_refuses_a_summand_of_another_field():
     F5, F7 = prime_field(5), prime_field(7)
     s = RopSum(F5, 1, (Leaf(1, F7.elem(6), F7.zero()),))
     with pytest.raises(FieldMismatch):
-        verify_against(s, MultilinearPoly.variable(1, F5, 1))
+        verify_against(s, MultilinearPoly(1, F5, {1: 1}))
     with pytest.raises(FieldMismatch):
         sum_evaluate(s)
 
@@ -161,7 +161,7 @@ def test_verify_against_refuses_a_summand_of_another_field():
 def test_verify_against_refuses_a_target_of_another_field():
     s = RopSum(prime_field(5), 1, (Leaf(1, prime_field(5).one(), prime_field(5).zero()),))
     with pytest.raises(FieldMismatch) as exc:
-        verify_against(s, MultilinearPoly.variable(1, QQ, 1))
+        verify_against(s, MultilinearPoly(1, QQ, {1: 1}))
     assert str(exc.value) == "sum over F_5, target over Q"
 
 
@@ -217,11 +217,11 @@ def test_every_operation_refuses_a_bad_formula_alike():
 def _reference(node, n):
     """The polynomial a formula computes, built with the public operations."""
     if isinstance(node, Leaf):
-        x = MultilinearPoly.variable(n, node.alpha.field, node.var)
+        x = MultilinearPoly(n, node.alpha.field, {1 << (node.var - 1): 1})
     else:
         left, right = _reference(node.left, n), _reference(node.right, n)
         x = left + right if node.op == ADD else left.mul_disjoint(right)
-    return x.scale(node.alpha) + MultilinearPoly.constant(n, x.field, node.beta)
+    return x.scale(node.alpha) + MultilinearPoly(n, x.field, {0: node.beta})
 
 
 def _negated(node):
@@ -339,7 +339,7 @@ def test_a_gate_refuses_labels_that_are_not_field_elements():
 
 
 def test_a_gate_refuses_children_that_are_not_nodes():
-    poly = MultilinearPoly.variable(2, QQ, 1)
+    poly = MultilinearPoly(2, QQ, {1: 1})
     for left, right, words in (
         (leaf(1), 2, "Leaf and int"),
         (None, leaf(2), "NoneType and Leaf"),
@@ -558,7 +558,7 @@ def test_a_leaf_variable_is_the_token_that_polynomial_text_reads():
             parse_poly_text(token, QQ)
     for token, var in (("x7", 7), ("x007", 7)):
         assert parse_rof("(leaf (1 0) %s)" % token, QQ) == leaf(var)
-        assert parse_poly_text(token, QQ) == MultilinearPoly.variable(var, QQ, var)
+        assert parse_poly_text(token, QQ) == MultilinearPoly(var, QQ, {1 << (var - 1): 1})
 
 
 def _nodes(t):

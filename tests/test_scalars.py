@@ -199,7 +199,7 @@ def test_a_scalar_that_is_not_an_int_fraction_or_elem_is_refused():
     with pytest.raises(PreconditionViolated, match=r"^scalar 2\.5 is not"):
         MultilinearPoly(1, prime_field(5), {1: 2.5})
     with pytest.raises(PreconditionViolated):
-        MultilinearPoly.constant(2, QQ, 0.5)
+        MultilinearPoly(2, QQ, {0: 0.5})
     assert QQ.elem(Fraction(1, 3)) == parse_scalar("1/3", QQ)
     assert F7.elem(Fraction(1, 2)) == 4 and F7.elem(True) == 1
 
